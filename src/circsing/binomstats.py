@@ -9,7 +9,8 @@ from fractions import Fraction
 
 from .errors import BudgetExceededError
 
-#: Default cap on n*m term-power operations for exact power sums.
+#: Default cap on n*m term-power operations for exact power sums, and on
+#: the exponent n of an exact binomial maximum.
 POWER_SUM_BUDGET = 200_000
 
 
@@ -60,10 +61,18 @@ class BinomialMax:
 
 
 def binom_max(n: int, q: Fraction) -> BinomialMax:
-    """Maximum of the binomial mass, attained at floor((n+1)q)."""
+    """Maximum of the binomial mass, attained at floor((n+1)q).
+
+    Refuses n above POWER_SUM_BUDGET: the exact mass has exponent n.
+    """
     _check_exact_q(q)
     if n < 0:
         raise ValueError("n must be nonnegative")
+    if n > POWER_SUM_BUDGET:
+        raise BudgetExceededError(
+            f"binomial maximum for n={n} needs exponent {n} "
+            f"(budget {POWER_SUM_BUDGET})",
+            required=n, budget=POWER_SUM_BUDGET)
     t = (n + 1) * q
     if t.denominator == 1 and 1 <= t <= n:
         k, tied = int(t) - 1, True

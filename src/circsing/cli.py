@@ -150,20 +150,6 @@ def table_to_csv(rows: list[asym.ConvergenceRow]) -> str:
     return buf.getvalue()
 
 
-def table_from_csv(text: str) -> list[asym.ConvergenceRow]:
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader)
-    if tuple(header) != TABLE_COLUMNS:
-        raise ValueError(f"unexpected table header {header}")
-    rows = []
-    for rec in reader:
-        exact = (Fraction(int(rec[1]), int(rec[2])) if rec[1] else None)
-        rows.append(asym.ConvergenceRow(
-            n=int(rec[0]), exact=exact, approx=float(rec[4]),
-            ratio=float(rec[5]) if rec[5] else None, formula=rec[6]))
-    return rows
-
-
 def table_to_json(rows: list[asym.ConvergenceRow]) -> str:
     return json.dumps([
         {"n": row.n,
@@ -200,7 +186,7 @@ def _cmd_mc(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    checks = verify.SUITES[args.suite]()
+    checks = [check() for check in verify.SUITES[args.suite]]
     failures = [(name, detail) for name, ok, detail in checks if not ok]
     for name, detail in failures:
         print(f"{args.suite}: FAIL {name}" + (f" ({detail})" if detail else ""),

@@ -88,6 +88,8 @@ def sample_singularity(n: int, q, samples: int, seed: int,
         raise ValueError("samples must be positive")
     if shards < 1:
         raise ValueError("shards must be positive")
+    if shards > samples:
+        raise ValueError(f"shards={shards} exceeds samples={samples}")
     if not 0 <= seed < 2 ** 64:
         raise ValueError("seed must fit in 64 bits")
     qf = float(q)

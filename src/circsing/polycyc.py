@@ -4,16 +4,13 @@ A circulant matrix is identified with its first row, and the first row with
 the polynomial sum(c_j x^j) in Z[x]/(x^n - 1).  The matrix is singular
 exactly when some cyclotomic polynomial of a divisor of n divides that row
 polynomial, which is what :func:`singular_divisors` decides with exact
-integer arithmetic.  :func:`dft_eigenvalues` provides the floating-point
-cross-check; it is never trusted over the exact test.
+integer arithmetic.
 """
 from __future__ import annotations
 
-import cmath
 import dataclasses
 import functools
 import math
-import warnings
 
 
 @dataclasses.dataclass(init=False, frozen=True)
@@ -78,12 +75,6 @@ class IntPolynomial:
         for j, c in enumerate(self.coeffs):
             out[k * j] = c
         return IntPolynomial(out)
-
-    def evaluate(self, x):
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
 
     def divmod_monic(self, divisor: IntPolynomial) -> tuple[IntPolynomial, IntPolynomial]:
         """Quotient and remainder by a monic divisor, exact over the integers.
@@ -157,26 +148,6 @@ def smallest_prime(n: int) -> int:
     if n < 2:
         raise ValueError("n must be at least 2")
     return min(factorize(n))
-
-
-@dataclasses.dataclass(frozen=True)
-class DivisorProfile:
-    """n together with its divisor list, smallest prime, and totients."""
-
-    n: int
-    divisors: tuple[int, ...]
-    smallest_prime: int | None
-    totients: dict[int, int]
-
-    @classmethod
-    def of(cls, n: int) -> "DivisorProfile":
-        ds = divisors(n)
-        return cls(
-            n=n,
-            divisors=tuple(ds),
-            smallest_prime=smallest_prime(n) if n >= 2 else None,
-            totients={d: totient(d) for d in ds},
-        )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -267,35 +238,3 @@ def singular_divisors(row: FirstRow, signed: bool = False) -> set[int]:
         if reduce_mod_cyclotomic(fold(f, row.n, d), d).is_zero():
             hits.add(d)
     return hits
-
-
-def dft_eigenvalues(row: FirstRow, signed: bool = False) -> list[complex]:
-    """Floating-point circulant eigenvalues sum_k c_k exp(2*pi*i*k*j/n)."""
-    cs = [2 * b - 1 for b in row.bits] if signed else list(row.bits)
-    n = row.n
-    return [
-        sum(c * cmath.exp(2j * cmath.pi * k * j / n) for k, c in enumerate(cs))
-        for j in range(n)
-    ]
-
-
-def dft_singularity_crosscheck(row: FirstRow, signed: bool = False,
-                               tol: float | None = None) -> bool:
-    """Exact singularity verdict, warning if the DFT check disagrees.
-
-    The numeric check declares an eigenvalue zero below ``tol``
-    (default 1e-6 * n).  Disagreements are reported as warnings; the
-    exact result is always returned.
-    """
-    if tol is None:
-        tol = 1e-6 * row.n
-    exact = bool(singular_divisors(row, signed))
-    numeric = min(abs(lam) for lam in dft_eigenvalues(row, signed)) < tol
-    if numeric != exact:
-        warnings.warn(
-            f"DFT singularity check disagrees with exact test for n={row.n} "
-            f"(numeric={numeric}, exact={exact}); trusting the exact test",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return exact

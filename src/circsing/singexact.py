@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import itertools
 import logging
 import math
 from fractions import Fraction
@@ -26,9 +25,6 @@ log = logging.getLogger(__name__)
 ENUMERATION_BUDGET = 10_000_000
 #: Default cap on rows for the exhaustive union enumeration.
 BRUTEFORCE_BUDGET = 1 << 26
-
-# Above this many box candidates the coordinate filter runs vectorized.
-_VECTORIZE_THRESHOLD = 65_536
 
 MODELS = ("binary", "signed")
 
@@ -111,15 +107,6 @@ class ProbabilityReport:
     omitted: tuple[tuple[int, str], ...] = ()
 
 
-def prob_divisor_prime(p: int, n: int, q: Fraction) -> Fraction:
-    """Exact divisor probability for prime p | n: sum_k mass(k, n/p)^p."""
-    if not polycyc.is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if n % p:
-        raise ValueError(f"{p} does not divide {n}")
-    return binomstats.power_sum_exact(n // p, p, q)
-
-
 def prob_divisor_prime_power(p: int, m: int, n: int, q: Fraction) -> Fraction:
     """Exact divisor probability for d = p^m dividing n."""
     if not polycyc.is_prime(p):
@@ -140,6 +127,8 @@ def prob_divisor_general(d: int, n: int, q: Fraction,
     candidate through the basis (I | A), keeps vectors whose dependent
     coordinates also land in [0, n/d], and sums the products of binomial
     masses.  Agrees with the prime-power closed forms where both apply.
+    Refuses with BudgetExceededError when the candidate count exceeds
+    ``budget`` or when the int64 filter could overflow.
     """
     if d < 2:
         raise ValueError("d must be at least 2")
@@ -155,39 +144,33 @@ def prob_divisor_general(d: int, n: int, q: Fraction,
             f"lattice enumeration for d={d}, n={n} needs {required} "
             f"candidate vectors (budget {budget})",
             required=required, budget=budget)
-    tail = [list(row) for row in basis.tail]
+    tail = np.array(basis.tail, dtype=np.int64)
+    max_tail = int(np.abs(tail).max(initial=0))
+    if required >= 2 ** 63 or w * r * max_tail >= 2 ** 62:
+        raise BudgetExceededError(
+            f"lattice enumeration for d={d}, n={n} needs {required} "
+            f"candidate vectors, beyond the int64 range of the box filter",
+            required=required, budget=budget)
     comb = [math.comb(w, k) for k in range(w + 1)]
     coeff_by_weight: dict[int, int] = {}
-
-    def keep(zrow, trow):
-        wt = sum(zrow) + sum(trow)
-        coef = math.prod(comb[v] for v in zrow) * math.prod(comb[v] for v in trow)
-        coeff_by_weight[wt] = coeff_by_weight.get(wt, 0) + coef
-
-    max_tail = max((abs(v) for row in tail for v in row), default=0)
+    radix = w + 1
+    chunk = 1 << 16
     kept = 0
-    if required <= _VECTORIZE_THRESHOLD or w * r * max_tail >= 2 ** 62:
-        for z in itertools.product(range(w + 1), repeat=r):
-            t = [sum(z[i] * tail[i][j] for i in range(r)) for j in range(d - r)]
-            if all(0 <= v <= w for v in t):
-                keep(z, t)
-                kept += 1
-    else:
-        tail_np = np.array(tail, dtype=np.int64)
-        radix = w + 1
-        chunk = 1 << 16
-        for start in range(0, required, chunk):
-            idx = np.arange(start, min(start + chunk, required), dtype=np.int64)
-            digits = np.empty((len(idx), r), dtype=np.int64)
-            rem = idx
-            for i in range(r - 1, -1, -1):
-                digits[:, i] = rem % radix
-                rem = rem // radix
-            tails = digits @ tail_np
-            ok = ((tails >= 0) & (tails <= w)).all(axis=1)
-            for zrow, trow in zip(digits[ok].tolist(), tails[ok].tolist()):
-                keep(zrow, trow)
-            kept += int(ok.sum())
+    for start in range(0, required, chunk):
+        idx = np.arange(start, min(start + chunk, required), dtype=np.int64)
+        digits = np.empty((len(idx), r), dtype=np.int64)
+        rem = idx
+        for i in range(r - 1, -1, -1):
+            digits[:, i] = rem % radix
+            rem = rem // radix
+        tails = digits @ tail
+        ok = ((tails >= 0) & (tails <= w)).all(axis=1)
+        for zrow, trow in zip(digits[ok].tolist(), tails[ok].tolist()):
+            wt = sum(zrow) + sum(trow)
+            coef = (math.prod(comb[v] for v in zrow)
+                    * math.prod(comb[v] for v in trow))
+            coeff_by_weight[wt] = coeff_by_weight.get(wt, 0) + coef
+        kept += int(ok.sum())
     log.debug("box enumeration d=%d n=%d: kept %d of %d candidates",
               d, n, kept, required)
     one_minus = 1 - q
@@ -209,26 +192,33 @@ def prob_bounds(d: int, n: int, q: Fraction) -> tuple[Fraction | None, Fraction]
 
 
 def prob_union_closed_form(n: int, q: Fraction) -> Fraction | None:
-    """Exact binary union probability for n in {p, p^2, p*r}; else None."""
+    """Exact binary union probability for n in {p, p^2, p*r}; else None.
+
+    Refuses those shapes above the exponent budget POWER_SUM_BUDGET.
+    """
     if n < 2:
         raise ValueError("n must be at least 2")
     binomstats._check_exact_q(q)
     fac = polycyc.factorize(n)
-    primes = sorted(fac)
-    if len(primes) == 1:
-        p, k = primes[0], fac[primes[0]]
-        if k == 1:
-            return q**p + (1 - q) ** p
-        if k == 2:
-            return ((q**p + (1 - q) ** p) ** p
-                    + binomstats.power_sum_exact(p, p, q)
-                    - q ** (p * p) - (1 - q) ** (p * p))
-    elif len(primes) == 2 and all(fac[p] == 1 for p in primes):
-        p, r = primes
-        return (binomstats.power_sum_exact(p, r, q)
-                + binomstats.power_sum_exact(r, p, q)
-                - q ** (p * r) - (1 - q) ** (p * r))
-    return None
+    shape = sorted(fac.values())
+    if shape not in ([1], [2], [1, 1]):
+        return None
+    budget = binomstats.POWER_SUM_BUDGET
+    if n > budget:
+        raise BudgetExceededError(
+            f"closed-form union for n={n} needs exponent {n} (budget {budget})",
+            required=n, budget=budget)
+    if shape == [1]:
+        return q**n + (1 - q) ** n
+    if shape == [2]:
+        (p,) = fac
+        return ((q**p + (1 - q) ** p) ** p
+                + binomstats.power_sum_exact(p, p, q)
+                - q ** n - (1 - q) ** n)
+    p, r = sorted(fac)
+    return (binomstats.power_sum_exact(p, r, q)
+            + binomstats.power_sum_exact(r, p, q)
+            - q ** n - (1 - q) ** n)
 
 
 def singular_mask(bits: np.ndarray, model: str = "binary") -> np.ndarray:
@@ -308,12 +298,7 @@ def signed_prob_divisor(d: int, n: int, q: Fraction,
     """
     if d < 1 or n % d:
         raise ValueError(f"{d} does not divide {n}")
-    if d == 1:
-        if n % 2:
-            return Fraction(0)
-        h = n // 2
-        return Fraction(math.comb(n, h)) * q**h * (1 - q) ** h
-    return _binary_divisor_value(d, n, q, budget)
+    return _divisor_method(d, n, q, "signed", budget)[0]
 
 
 def signed_intersection_1_2(n: int, q: Fraction) -> Fraction:
@@ -326,14 +311,24 @@ def signed_intersection_1_2(n: int, q: Fraction) -> Fraction:
     return Fraction(math.comb(h, quarter)) ** 2 * q**h * (1 - q) ** h
 
 
-def _binary_divisor_value(d: int, n: int, q: Fraction, budget: int) -> Fraction:
+def _divisor_method(d: int, n: int, q: Fraction, model: str,
+                    budget: int) -> tuple[Fraction, str]:
+    """The one dispatch from d's factorization to (value, method tag)."""
+    if d == 1:
+        h = n // 2
+        if model == "binary":
+            value = (1 - q) ** n
+        elif n % 2:
+            value = Fraction(0)
+        else:
+            value = Fraction(math.comb(n, h)) * q**h * (1 - q) ** h
+        return value, "trivial-d1"
     fac = polycyc.factorize(d)
     if len(fac) == 1:
         ((p, m),) = fac.items()
-        if m == 1:
-            return prob_divisor_prime(p, n, q)
-        return prob_divisor_prime_power(p, m, n, q)
-    return prob_divisor_general(d, n, q, budget)
+        return (prob_divisor_prime_power(p, m, n, q),
+                "prime-closed-form" if m == 1 else "prime-power-closed-form")
+    return prob_divisor_general(d, n, q, budget), "lattice-enumeration"
 
 
 def divisor_probability(d: int, n: int, q: Fraction, model: str = "binary",
@@ -343,22 +338,8 @@ def divisor_probability(d: int, n: int, q: Fraction, model: str = "binary",
     if d < 1 or n % d:
         raise ValueError(f"{d} does not divide {n}")
     binomstats._check_exact_q(q)
-    if d == 1:
-        value = (1 - q) ** n if model == "binary" else signed_prob_divisor(1, n, q)
-        return DivisorProbability(d=1, n=n, q=q, value=value, method="trivial-d1")
-    fac = polycyc.factorize(d)
-    if len(fac) == 1:
-        ((p, m),) = fac.items()
-        if m == 1:
-            return DivisorProbability(d=d, n=n, q=q,
-                                      value=prob_divisor_prime(p, n, q),
-                                      method="prime-closed-form")
-        return DivisorProbability(d=d, n=n, q=q,
-                                  value=prob_divisor_prime_power(p, m, n, q),
-                                  method="prime-power-closed-form")
-    return DivisorProbability(d=d, n=n, q=q,
-                              value=prob_divisor_general(d, n, q, budgets.enumeration),
-                              method="lattice-enumeration")
+    value, method = _divisor_method(d, n, q, model, budgets.enumeration)
+    return DivisorProbability(d=d, n=n, q=q, value=value, method=method)
 
 
 def _exact_union(n: int, q: Fraction, model: str,
@@ -372,7 +353,7 @@ def _exact_union(n: int, q: Fraction, model: str,
     else:
         if n == 2:
             # inclusion-exclusion over the only divisors {1, 2}
-            value = (signed_prob_divisor(1, 2, q) + prob_divisor_prime(2, 2, q)
+            value = (signed_prob_divisor(1, 2, q) + signed_prob_divisor(2, 2, q)
                      - signed_intersection_1_2(2, q))
             return value, "closed-form"
         if n % 2:

@@ -1,13 +1,16 @@
-"""Self-check suites behind the ``verify`` CLI command.
+"""Self-check registry behind the ``verify`` CLI command and the acceptance
+suite.
 
-Each suite returns a list of (check name, ok, detail) triples and is
-deterministic.  The CLI prints one summary line per suite and exits
-nonzero if any check fails.
+Each check is a deterministic function returning a (check name, ok,
+detail) triple, and each lives here once: ``verify --suite NAME`` runs the
+checks registered under NAME and prints one summary line, and
+``tests/test_acceptance.py`` builds its criteria from the same functions.
 """
 from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Callable
 from fractions import Fraction
 
 from . import asym, binomstats, mcsim, polycyc, singexact
@@ -18,56 +21,52 @@ HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
 
 
-def suite_algebra() -> list[Check]:
-    checks: list[Check] = []
-
+def check_cyclotomic_identities() -> Check:
     ok = True
     for n in range(1, 129):
         prod = polycyc.IntPolynomial((1,))
         for d in polycyc.divisors(n):
             prod = prod * polycyc.cyclotomic(d)
-        expect = polycyc.IntPolynomial([-1] + [0] * (n - 1) + [1])
-        if prod != expect:
+        if prod != polycyc.IntPolynomial([-1] + [0] * (n - 1) + [1]):
             ok = False
-            break
-    checks.append(("cyclotomic product equals x^n - 1 for n <= 128", ok, ""))
+    for d in range(2, 129):
+        phi = polycyc.cyclotomic(d)
+        if not (phi.is_monic() and phi.degree == polycyc.totient(d)
+                and phi.coeffs[0] == 1):
+            ok = False
+    return ("cyclotomic product equals x^n - 1 for n <= 128; cyclotomic "
+            "monic, degree phi(d), constant 1 for d <= 128", ok, "")
 
-    ok = all(
-        polycyc.cyclotomic(d).is_monic()
-        and polycyc.cyclotomic(d).degree == polycyc.totient(d)
-        and polycyc.cyclotomic(d).coeffs[0] == 1
-        for d in range(2, 129))
-    checks.append(("cyclotomic monic, degree phi(d), constant 1 for d <= 128", ok, ""))
 
+def check_prime_shift_congruence() -> Check:
     ok = True
     for p in (2, 3, 5, 7, 11, 13):
         for n in range(1, 51):
             rem = polycyc.reduce_mod_cyclotomic(polycyc.cyclotomic(n * p), n)
             if any(c % p for c in rem.coeffs):
                 ok = False
-    checks.append(("cyclotomic(n*p) mod cyclotomic(n) has coefficients "
-                   "divisible by p (p <= 13, n <= 50)", ok, ""))
+    return ("cyclotomic(n*p) mod cyclotomic(n) has coefficients "
+            "divisible by p (p <= 13, n <= 50)", ok, "")
 
+
+def check_fold_commutes() -> Check:
     ok = True
     for n in (6, 8, 9, 10, 12):
         for bits in itertools.product((0, 1), repeat=n):
-            row = polycyc.FirstRow(n, bits)
-            f = row.polynomial()
+            f = polycyc.FirstRow(n, bits).polynomial()
             for d in polycyc.divisors(n):
                 in_rn = polycyc.reduce_mod_cyclotomic(f, d).is_zero()
                 in_rd = polycyc.reduce_mod_cyclotomic(
                     polycyc.fold(f, n, d), d).is_zero()
                 if in_rn != in_rd:
                     ok = False
-    checks.append(("divisibility commutes with folding (exhaustive small n)", ok, ""))
-    return checks
+    return "divisibility commutes with folding (exhaustive small n)", ok, ""
 
 
-def suite_bounds() -> list[Check]:
-    checks: list[Check] = []
+def check_divisor_bounds() -> Check:
+    ok = True
+    detail = ""
     for q in (HALF, THIRD):
-        ok = True
-        detail = ""
         for n in range(2, 31):
             for d in polycyc.divisors(n):
                 if d == 1:
@@ -76,26 +75,29 @@ def suite_bounds() -> list[Check]:
                 value = singexact.prob_divisor_general(d, n, q)
                 if value > upper or (lower is not None and value < lower):
                     ok = False
-                    detail = f"violated at n={n}, d={d}"
-        checks.append((f"divisor probability bounds hold for n <= 30, q={q}",
-                       ok, detail))
-    return checks
+                    detail = f"violation at n={n}, d={d}, q={q}"
+    return ("divisor probability bounds hold for n <= 30, q in {1/2, 1/3}",
+            ok, detail)
 
 
-def suite_closed_forms() -> list[Check]:
-    checks: list[Check] = []
+def check_union_closed_forms() -> Check:
+    ok = True
+    detail = ""
     for q in (HALF, THIRD):
-        ok = True
-        detail = ""
         for n in (2, 3, 4, 5, 6, 7, 9, 10, 14, 15, 21, 22, 25):
             cf = singexact.prob_union_closed_form(n, q)
             bf = singexact.prob_union_bruteforce(n, q)
             if cf != bf:
                 ok = False
-                detail = f"mismatch at n={n}: {cf} vs {bf}"
-        checks.append((f"closed-form unions equal exhaustive enumeration, q={q}",
-                       ok, detail))
+                detail = f"first mismatch at n={n}, q={q}"
+                break
+    spot = (singexact.prob_union_closed_form(4, HALF) == HALF
+            and singexact.prob_union_closed_form(6, HALF) == Fraction(7, 16))
+    return ("closed-form unions equal exhaustive enumeration for "
+            "q in {1/2, 1/3}; P(4)=1/2, P(6)=7/16", ok and spot, detail)
 
+
+def check_box_vs_prime_powers() -> Check:
     ok = True
     for n in range(2, 33):
         for d in polycyc.divisors(n):
@@ -106,20 +108,29 @@ def suite_closed_forms() -> list[Check]:
             if (singexact.prob_divisor_general(d, n, HALF)
                     != singexact.prob_divisor_prime_power(p, m, n, HALF)):
                 ok = False
-    checks.append(("box enumeration matches prime-power closed forms", ok, ""))
-    return checks
+    hits = sum(6 in polycyc.singular_divisors(polycyc.FirstRow(6, bits))
+               for bits in itertools.product((0, 1), repeat=6))
+    event_ok = (hits == 10
+                and singexact.prob_divisor_general(6, 6, HALF) == Fraction(10, 64))
+    return ("box enumeration matches prime-power closed forms; "
+            "divisor-6 event count is 10/64", ok and event_ok, "")
 
 
-def suite_asymptotics() -> list[Check]:
-    checks: list[Check] = []
+def check_signed_intersection() -> Check:
+    ok = singexact.signed_intersection_1_2(4, HALF) == Fraction(1, 4)
+    return "signed d=1 and d=2 events intersect with probability 1/4 at n=4", ok, ""
 
+
+def check_primes_exact() -> Check:
     ok = True
     for n in (2, 3, 5, 7, 11, 13, 17, 19, 23):
-        exact = singexact.prob_union_closed_form(n, HALF)
+        exact = singexact.prob_union_bruteforce(n, HALF)
         if float(exact) / asym.approx_main(n, HALF).value != 1.0:
             ok = False
-    checks.append(("dominant-divisor sum is exact at primes n <= 23", ok, ""))
+    return "dominant-divisor sum is exact at primes n <= 23", ok, ""
 
+
+def check_rate_agreement() -> Check:
     ok = True
     prev = None
     for n in (2 ** 6, 2 ** 8, 2 ** 10):
@@ -128,58 +139,68 @@ def suite_asymptotics() -> list[Check]:
         if rel > 0.05 or (prev is not None and rel >= prev):
             ok = False
         prev = rel
-    checks.append(("sum and closed-form rate agree within 5%, tightening", ok, ""))
+    return "sum and closed-form rate agree within 5%, tightening", ok, ""
 
-    ok = True
+
+def check_power_sum_asymptotics() -> Check:
+    exact = binomstats.power_sum_exact(1000, 2, HALF)
+    vandermonde = exact == Fraction(math.comb(2000, 1000), 4 ** 1000)
+    center = abs(float(exact) * math.sqrt(math.pi * 1000) - 1) <= 2e-3
+    trend_ok = True
     for m in (2, 3, 5):
         prev = None
         for n in (100, 400, 1600):
             ratio = (float(binomstats.power_sum_exact(n, m, HALF))
                      / binomstats.power_sum_asymptotic(n, m, 0.5))
+            if not 0.8 <= ratio <= 1.2:
+                trend_ok = False
             dev = abs(ratio - 1)
-            if not 0.8 <= ratio <= 1.2 or (prev is not None and dev >= prev):
-                ok = False
+            if prev is not None and dev >= prev:
+                trend_ok = False
             prev = dev
-    checks.append(("power-sum approximation within 20%, deviation shrinking", ok, ""))
+    return ("power-sum approximation: 0.2% at n=1000, m=2; "
+            "within 20% and tightening for m in {2,3,5}",
+            vandermonde and center and trend_ok, "")
 
+
+def check_normal_approximation() -> Check:
     n = 1000
     center = abs(binomstats.demoivre_approx(500, n, 0.5)
                  / float(binomstats.binom_pdf_exact(500, n, HALF)) - 1)
+    half_width = math.floor(2 * math.sqrt(n))
     band = max(
         abs(binomstats.demoivre_approx(k, n, 0.5)
             / float(binomstats.binom_pdf_exact(k, n, HALF)) - 1)
-        for k in range(500 - 63, 500 + 64))
-    checks.append(("normal approximation: 0.2% at center, 5% in the 2-sigma band",
-                   center <= 0.002 and band <= 0.05,
-                   f"center={center:.2e}, band={band:.2e}"))
-    return checks
+        for k in range(500 - half_width, 500 + half_width + 1))
+    return ("normal approximation: 0.2% at center, 5% in the 2-sigma band",
+            center <= 0.002 and band <= 0.05,
+            f"center={center:.2e}, band max={band:.2e}")
 
 
-def suite_mc() -> list[Check]:
-    checks: list[Check] = []
-    first = mcsim.sample_singularity(4, 0.5, 200_000, seed=7)
-    again = mcsim.sample_singularity(4, 0.5, 200_000, seed=7)
-    checks.append(("rerun at fixed seed is bit-identical",
-                   first.singular_count == again.singular_count, ""))
-
-    counts = {s: mcsim.sample_singularity(6, 0.5, 200_000, seed=11,
+def check_monte_carlo() -> Check:
+    close_ok = True
+    for n, exact in ((4, 0.5), (6, 7 / 16)):
+        est = mcsim.sample_singularity(n, 0.5, 10 ** 6, seed=2024)
+        if abs(est.p_hat - exact) > 4 * est.stderr:
+            close_ok = False
+    rerun = (mcsim.sample_singularity(4, 0.5, 10 ** 6, seed=2024)
+             == mcsim.sample_singularity(4, 0.5, 10 ** 6, seed=2024))
+    counts = {s: mcsim.sample_singularity(6, 0.5, 10 ** 6, seed=7,
                                           shards=s).singular_count
               for s in (1, 4, 16)}
-    checks.append(("singular count invariant under shard count",
-                   len(set(counts.values())) == 1, f"{counts}"))
-
-    for n, exact in ((4, 0.5), (6, 7 / 16)):
-        est = mcsim.sample_singularity(n, 0.5, 200_000, seed=3)
-        ok = abs(est.p_hat - exact) <= 4 * est.stderr
-        checks.append((f"estimate within 4 standard errors at n={n}", ok,
-                       f"p_hat={est.p_hat:.5f}, exact={exact:.5f}"))
-    return checks
+    shard_ok = len(set(counts.values())) == 1
+    return ("estimates within 4 standard errors at n=4 and n=6; "
+            "bit-identical rerun; shard-count invariance",
+            close_ok and rerun and shard_ok, "")
 
 
-SUITES = {
-    "algebra": suite_algebra,
-    "bounds": suite_bounds,
-    "closed-forms": suite_closed_forms,
-    "asymptotics": suite_asymptotics,
-    "mc": suite_mc,
+SUITES: dict[str, tuple[Callable[[], Check], ...]] = {
+    "algebra": (check_cyclotomic_identities, check_prime_shift_congruence,
+                check_fold_commutes),
+    "bounds": (check_divisor_bounds,),
+    "closed-forms": (check_union_closed_forms, check_box_vs_prime_powers,
+                     check_signed_intersection),
+    "asymptotics": (check_primes_exact, check_rate_agreement,
+                    check_power_sum_asymptotics, check_normal_approximation),
+    "mc": (check_monte_carlo,),
 }

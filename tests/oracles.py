@@ -2,12 +2,19 @@
 
 The determinant route never touches the library's cyclotomic or lattice
 machinery: it assembles the full n x n circulant integer matrix and runs
-fraction-free (Bareiss) Gaussian elimination.
+fraction-free (Bareiss) Gaussian elimination.  The DFT eigenvalues are the
+floating-point cross-check of the exact singularity test, and the CRT coset
+sum is an independent route to two-prime divisor probabilities.
 """
 from __future__ import annotations
 
+import cmath
+import math
+import warnings
 from fractions import Fraction
 from itertools import product
+
+from circsing.polycyc import FirstRow, factorize, singular_divisors
 
 
 def bareiss_det(matrix: list[list[int]]) -> int:
@@ -52,9 +59,62 @@ def union_prob_by_det(n: int, q: Fraction, signed: bool = False) -> Fraction:
     return total
 
 
+def dft_eigenvalues(row: FirstRow, signed: bool = False) -> list[complex]:
+    """Floating-point circulant eigenvalues sum_k c_k exp(2*pi*i*k*j/n)."""
+    cs = [2 * b - 1 for b in row.bits] if signed else list(row.bits)
+    n = row.n
+    return [
+        sum(c * cmath.exp(2j * cmath.pi * k * j / n) for k, c in enumerate(cs))
+        for j in range(n)
+    ]
+
+
+def dft_singularity_crosscheck(row: FirstRow, signed: bool = False,
+                               tol: float | None = None) -> bool:
+    """Exact singularity verdict, warning if the DFT check disagrees.
+
+    The numeric check declares an eigenvalue zero below ``tol``
+    (default 1e-6 * n).  Disagreements are reported as warnings; the
+    exact result is always returned.
+    """
+    if tol is None:
+        tol = 1e-6 * row.n
+    exact = bool(singular_divisors(row, signed))
+    numeric = min(abs(lam) for lam in dft_eigenvalues(row, signed)) < tol
+    if numeric != exact:
+        warnings.warn(
+            f"DFT singularity check disagrees with exact test for n={row.n} "
+            f"(numeric={numeric}, exact={exact}); trusting the exact test",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+    return exact
+
+
 def pdf(k: int, n: int, q: Fraction) -> Fraction:
-    from math import comb
-    return comb(n, k) * q**k * (1 - q) ** (n - k)
+    return math.comb(n, k) * q**k * (1 - q) ** (n - k)
+
+
+def two_prime_coset_sum(d: int, n: int, q: Fraction) -> Fraction:
+    """P(Phi_d | f) for squarefree d = p*r with r < p, by CRT cosets.
+
+    Under Z/d = Z/p x Z/r the fold s of f to length d is divisible by Phi_d
+    iff s[i, j] = e_i + c_j (de Bruijn 1953).  Fixing c_0 = 0 makes the
+    decomposition unique, so the probability is
+    sum over c in [-w, w]^(r-1) of (sum_e prod_j mass(e + c_j))^p, w = n/d.
+    """
+    r, p = sorted(factorize(d))
+    w = n // d
+
+    def mass(k):
+        return pdf(k, w, q) if 0 <= k <= w else 0
+
+    total = Fraction(0)
+    for tail in product(range(-w, w + 1), repeat=r - 1):
+        c = (0,) + tail
+        total += sum(math.prod(mass(e + cj) for cj in c)
+                     for e in range(w + 1)) ** p
+    return total
 
 
 def max_pdf_by_scan(n: int, q: Fraction) -> tuple[int, Fraction]:

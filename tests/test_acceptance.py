@@ -1,21 +1,19 @@
 """Acceptance suite: one test per criterion, one printed pass/fail line each.
 
 Run with ``pytest tests/test_acceptance.py -s`` to see the lines as they
-print.  Criteria 7 and 8 assert desk-scale monotone trends that do not hold
-(the divisor-rich dimensions 12 and 16 break them); they are implemented
-as stated and fail honestly.  See the repository notes for the analysis.
+print.  Every check body lives once in ``circsing.verify``, the registry
+behind ``circsing verify``; each criterion here runs its check from there.
+Criteria 7 and 8 add desk-scale monotone trends that are not verify checks
+and do not hold (the divisor-rich dimensions 12 and 16 break them); they
+are implemented as stated and fail honestly.  See the repository notes for
+the analysis.
 """
 import math
 from fractions import Fraction
-from itertools import product
 
-import pytest
-
-from circsing import asym, binomstats, mcsim, polycyc, singexact
-from circsing.polycyc import FirstRow, IntPolynomial, cyclotomic, singular_divisors
+from circsing import asym, singexact, verify
 
 HALF = Fraction(1, 2)
-THIRD = Fraction(1, 3)
 
 
 def criterion(num, description, ok, detail=""):
@@ -27,114 +25,43 @@ def criterion(num, description, ok, detail=""):
 
 
 def test_criterion_1_algebraic_identities():
-    ok = True
-    for n in range(1, 129):
-        prod = IntPolynomial((1,))
-        for d in polycyc.divisors(n):
-            prod = prod * cyclotomic(d)
-        if prod != IntPolynomial([-1] + [0] * (n - 1) + [1]):
-            ok = False
-    for d in range(2, 129):
-        phi = cyclotomic(d)
-        if not (phi.is_monic() and phi.degree == polycyc.totient(d)
-                and phi.coeffs[0] == 1):
-            ok = False
+    _, ok, _ = verify.check_cyclotomic_identities()
     criterion(1, "cyclotomic product and shape identities up to n=128", ok)
 
 
 def test_criterion_2_prime_shift_congruence():
-    ok = True
-    for p in (2, 3, 5, 7, 11, 13):
-        for n in range(1, 51):
-            rem = polycyc.reduce_mod_cyclotomic(cyclotomic(n * p), n)
-            if any(c % p for c in rem.coeffs):
-                ok = False
+    _, ok, _ = verify.check_prime_shift_congruence()
     criterion(2, "cyclotomic(n*p) vanishes mod (p, cyclotomic(n)) "
                  "for p <= 13, n <= 50", ok)
 
 
 def test_criterion_3_closed_forms_vs_bruteforce():
-    ok = True
-    detail = ""
-    for q in (HALF, THIRD):
-        for n in (2, 3, 4, 5, 6, 7, 9, 10, 14, 15, 21, 22, 25):
-            cf = singexact.prob_union_closed_form(n, q)
-            bf = singexact.prob_union_bruteforce(n, q)
-            if cf != bf:
-                ok = False
-                detail = f"first mismatch at n={n}, q={q}"
-                break
-    spot = (singexact.prob_union_closed_form(4, HALF) == HALF
-            and singexact.prob_union_closed_form(6, HALF) == Fraction(7, 16))
+    _, ok, detail = verify.check_union_closed_forms()
     criterion(3, "union closed forms equal exhaustive enumeration "
                  "(n up to 25, q in {1/2, 1/3}); P(4)=1/2, P(6)=7/16",
-              ok and spot, detail)
+              ok, detail)
 
 
 def test_criterion_4_divisor_formula_cross_agreement():
-    ok = True
-    for n in range(2, 33):
-        for d in polycyc.divisors(n):
-            fac = polycyc.factorize(d)
-            if d < 2 or d > 16 or len(fac) != 1:
-                continue
-            ((p, m),) = fac.items()
-            if (singexact.prob_divisor_general(d, n, HALF)
-                    != singexact.prob_divisor_prime_power(p, m, n, HALF)):
-                ok = False
-    hits = sum(6 in singular_divisors(FirstRow(6, bits))
-               for bits in product((0, 1), repeat=6))
-    event_ok = (hits == 10
-                and singexact.prob_divisor_general(6, 6, HALF) == Fraction(10, 64))
+    _, ok, _ = verify.check_box_vs_prime_powers()
     criterion(4, "box enumeration equals prime-power closed forms "
-                 "(d <= 16, n <= 32); divisor-6 event count is 10/64",
-              ok and event_ok)
+                 "(d <= 16, n <= 32); divisor-6 event count is 10/64", ok)
 
 
 def test_criterion_5_divisor_probability_bounds():
-    ok = True
-    detail = ""
-    for q in (HALF, THIRD):
-        for n in range(2, 31):
-            for d in polycyc.divisors(n):
-                if d == 1:
-                    continue
-                lower, upper = singexact.prob_bounds(d, n, q)
-                value = singexact.prob_divisor_general(d, n, q)
-                if value > upper or (lower is not None and value < lower):
-                    ok = False
-                    detail = f"violation at n={n}, d={d}, q={q}"
+    _, ok, detail = verify.check_divisor_bounds()
     criterion(5, "max-mass bounds sandwich every divisor probability "
                  "(n <= 30, q in {1/2, 1/3})", ok, detail)
 
 
 def test_criterion_6_power_sum_asymptotics():
-    exact = binomstats.power_sum_exact(1000, 2, HALF)
-    vandermonde = exact == Fraction(math.comb(2000, 1000), 4 ** 1000)
-    center = abs(float(exact) * math.sqrt(math.pi * 1000) - 1) <= 2e-3
-    trend_ok = True
-    for m in (2, 3, 5):
-        prev = None
-        for n in (100, 400, 1600):
-            ratio = (float(binomstats.power_sum_exact(n, m, HALF))
-                     / binomstats.power_sum_asymptotic(n, m, 0.5))
-            if not 0.8 <= ratio <= 1.2:
-                trend_ok = False
-            dev = abs(ratio - 1)
-            if prev is not None and dev >= prev:
-                trend_ok = False
-            prev = dev
+    _, ok, _ = verify.check_power_sum_asymptotics()
     criterion(6, "power-sum approximation: 0.2% at n=1000, m=2; "
-                 "within 20% and tightening for m in {2,3,5}",
-              vandermonde and center and trend_ok)
+                 "within 20% and tightening for m in {2,3,5}", ok)
 
 
 def test_criterion_7_main_theorem_trend():
-    primes_ok = True
-    for n in (2, 3, 5, 7, 11, 13, 17, 19, 23):
-        exact = singexact.prob_union_bruteforce(n, HALF)
-        if float(exact) / asym.approx_main(n, HALF).value != 1.0:
-            primes_ok = False
+    _, primes_ok, _ = verify.check_primes_exact()
     ratios = []
     for n in (4, 6, 8, 10, 12, 14, 16, 20, 22):
         exact = singexact.prob_union_bruteforce(n, HALF)
@@ -147,7 +74,7 @@ def test_criterion_7_main_theorem_trend():
 
 
 def test_criterion_8_signed_asymptotics():
-    intersection_ok = singexact.signed_intersection_1_2(4, HALF) == Fraction(1, 4)
+    _, intersection_ok, _ = verify.check_signed_intersection()
     ratios = []
     for n in (8, 12, 16, 20):
         exact = singexact.prob_union_bruteforce(n, HALF, "signed")
@@ -163,32 +90,12 @@ def test_criterion_8_signed_asymptotics():
 
 
 def test_criterion_9_monte_carlo():
-    close_ok = True
-    for n, exact in ((4, 0.5), (6, 7 / 16)):
-        est = mcsim.sample_singularity(n, 0.5, 10 ** 6, seed=2024)
-        if abs(est.p_hat - exact) > 4 * est.stderr:
-            close_ok = False
-    rerun = (mcsim.sample_singularity(4, 0.5, 10 ** 6, seed=2024)
-             == mcsim.sample_singularity(4, 0.5, 10 ** 6, seed=2024))
-    counts = {s: mcsim.sample_singularity(6, 0.5, 10 ** 6, seed=7,
-                                          shards=s).singular_count
-              for s in (1, 4, 16)}
-    shard_ok = len(set(counts.values())) == 1
+    _, ok, _ = verify.check_monte_carlo()
     criterion(9, "Monte-Carlo within 4 standard errors at n=4 and n=6; "
-                 "bit-identical rerun; shard-count invariance",
-              close_ok and rerun and shard_ok)
+                 "bit-identical rerun; shard-count invariance", ok)
 
 
 def test_criterion_10_normal_approximation():
-    n = 1000
-    center = abs(binomstats.demoivre_approx(500, n, 0.5)
-                 / float(binomstats.binom_pdf_exact(500, n, HALF)) - 1)
-    half_width = math.floor(2 * math.sqrt(n))
-    band = max(
-        abs(binomstats.demoivre_approx(k, n, 0.5)
-            / float(binomstats.binom_pdf_exact(k, n, HALF)) - 1)
-        for k in range(500 - half_width, 500 + half_width + 1))
+    _, ok, detail = verify.check_normal_approximation()
     criterion(10, "normal approximation within 0.2% at the center and 5% "
-                  "across the 2*sqrt(n) band (n=1000)",
-              center <= 0.002 and band <= 0.05,
-              f"center={center:.2e}, band max={band:.2e}")
+                  "across the 2*sqrt(n) band (n=1000)", ok, detail)

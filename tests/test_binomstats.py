@@ -70,6 +70,13 @@ class TestBinomMax:
         with pytest.raises(ValueError):
             binom_max(4, Fraction(0))
 
+    def test_exponent_budget(self, monkeypatch):
+        monkeypatch.setattr(binomstats, "POWER_SUM_BUDGET", 10)
+        assert binom_max(10, HALF).value == Fraction(63, 256)
+        with pytest.raises(BudgetExceededError) as err:
+            binom_max(11, HALF)
+        assert (err.value.required, err.value.budget) == (11, 10)
+
     @pytest.mark.parametrize("q", [HALF, THIRD, Fraction(2, 5), Fraction(3, 4)])
     def test_against_scan(self, q):
         for n in range(41):

@@ -1,11 +1,27 @@
+import csv
+import io
 import json
 from fractions import Fraction
 
 import pytest
 
-from circsing import asym, cli
+from circsing import asym, binomstats, cli
 
 HALF = Fraction(1, 2)
+
+
+def table_from_csv(text: str) -> list[asym.ConvergenceRow]:
+    reader = csv.reader(io.StringIO(text))
+    header = next(reader)
+    if tuple(header) != cli.TABLE_COLUMNS:
+        raise ValueError(f"unexpected table header {header}")
+    rows = []
+    for rec in reader:
+        exact = (Fraction(int(rec[1]), int(rec[2])) if rec[1] else None)
+        rows.append(asym.ConvergenceRow(
+            n=int(rec[0]), exact=exact, approx=float(rec[4]),
+            ratio=float(rec[5]) if rec[5] else None, formula=rec[6]))
+    return rows
 
 
 def run_capture(capsys, argv):
@@ -96,13 +112,13 @@ class TestTableCommand:
     def test_csv_roundtrip(self, capsys):
         rows = asym.convergence_table(HALF, range(4, 17, 2))
         text = cli.table_to_csv(rows)
-        assert cli.table_from_csv(text) == rows
+        assert table_from_csv(text) == rows
 
     def test_csv_output(self, capsys):
         code, out, _ = run_capture(
             capsys, ["table", "--n-range", "4:8:2", "--q", "1/2"])
         assert code == 0
-        parsed = cli.table_from_csv(out)
+        parsed = table_from_csv(out)
         assert [r.n for r in parsed] == [4, 6, 8]
         assert parsed[0].exact == HALF
         assert parsed[1].ratio == pytest.approx(1.4)
@@ -153,6 +169,19 @@ class TestBudgetsAndErrors:
                      "--enum-budget", "10"])
         assert code == 3
         assert "candidate" in err
+
+    def test_bounds_exponent_budget(self, capsys, monkeypatch):
+        monkeypatch.setattr(binomstats, "POWER_SUM_BUDGET", 10)
+        code, _, err = run_capture(capsys, ["bounds", "--n", "22", "--q", "1/3"])
+        assert code == 3
+        assert "exponent" in err
+
+    def test_shards_above_samples(self, capsys):
+        code, _, err = run_capture(
+            capsys, ["mc", "--n", "4", "--q", "1/2", "--samples", "3",
+                     "--shards", "4"])
+        assert code == 2
+        assert "shards" in err
 
     def test_enumeration_budget_env(self, capsys, monkeypatch):
         monkeypatch.setenv("CIRCSING_ENUM_BUDGET", "10")

@@ -101,6 +101,8 @@ class TestEstimateFields:
         with pytest.raises(ValueError):
             sample_singularity(4, 0.5, 100, seed=0, shards=0)
         with pytest.raises(ValueError):
+            sample_singularity(4, 0.5, 3, seed=0, shards=4)
+        with pytest.raises(ValueError):
             sample_singularity(0, 0.5, 100, seed=0)
         with pytest.raises(ValueError):
             sample_singularity(4, 0.5, 100, seed=2 ** 64)

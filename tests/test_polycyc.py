@@ -4,12 +4,11 @@ from itertools import product
 import pytest
 
 from circsing import polycyc
-from circsing.polycyc import (DivisorProfile, FirstRow, IntPolynomial,
-                              cyclotomic, dft_eigenvalues,
-                              dft_singularity_crosscheck, fold,
+from circsing.polycyc import (FirstRow, IntPolynomial, cyclotomic, fold,
                               reduce_mod_cyclotomic, singular_divisors)
 
 import oracles
+from oracles import dft_eigenvalues, dft_singularity_crosscheck
 
 
 def P(*coeffs):
@@ -87,13 +86,6 @@ class TestNumberTheory:
     def test_factorize(self):
         assert polycyc.factorize(1) == {}
         assert polycyc.factorize(360) == {2: 3, 3: 2, 5: 1}
-
-    def test_divisor_profile(self):
-        prof = DivisorProfile.of(12)
-        assert prof.divisors == (1, 2, 3, 4, 6, 12)
-        assert prof.smallest_prime == 2
-        assert sum(prof.totients.values()) == 12
-        assert DivisorProfile.of(1).smallest_prime is None
 
     @pytest.mark.parametrize("n", range(1, 200))
     def test_totient_sum(self, n):

@@ -5,12 +5,12 @@ from itertools import product
 import numpy as np
 import pytest
 
-from circsing import polycyc, singexact
+from circsing import binomstats, polycyc
 from circsing.errors import BudgetExceededError
 from circsing.polycyc import FirstRow, cyclotomic, singular_divisors
 from circsing.singexact import (Budgets, divisor_probability, hnf_basis,
                                 prob_bounds, prob_divisor_general,
-                                prob_divisor_prime, prob_divisor_prime_power,
+                                prob_divisor_prime_power,
                                 prob_union_bruteforce, prob_union_closed_form,
                                 rational_json, report, report_json,
                                 signed_intersection_1_2, signed_prob_divisor,
@@ -28,28 +28,30 @@ def all_bit_rows(n):
 
 
 class TestPrimeDivisor:
+    """Prime d is the m = 1 case of the prime-power closed form."""
+
     def test_examples(self):
-        assert prob_divisor_prime(2, 4, HALF) == Fraction(3, 8)
-        assert prob_divisor_prime(3, 6, HALF) == Fraction(5, 32)
-        assert prob_divisor_prime(3, 3, THIRD) == THIRD
+        assert prob_divisor_prime_power(2, 1, 4, HALF) == Fraction(3, 8)
+        assert prob_divisor_prime_power(3, 1, 6, HALF) == Fraction(5, 32)
+        assert prob_divisor_prime_power(3, 1, 3, THIRD) == THIRD
 
     def test_event_count_matches(self):
         # 6 of the 16 binary rows of length 4 satisfy the d=2 event
         hits = sum(2 in singular_divisors(FirstRow(4, bits))
                    for bits in product((0, 1), repeat=4))
-        assert prob_divisor_prime(2, 4, HALF) == Fraction(hits, 16)
+        assert prob_divisor_prime_power(2, 1, 4, HALF) == Fraction(hits, 16)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
-            prob_divisor_prime(4, 8, HALF)
+            prob_divisor_prime_power(4, 1, 8, HALF)
         with pytest.raises(ValueError):
-            prob_divisor_prime(3, 4, HALF)
+            prob_divisor_prime_power(3, 1, 4, HALF)
 
 
 class TestPrimePowerDivisor:
     def test_examples(self):
         assert prob_divisor_prime_power(2, 2, 4, HALF) == Fraction(1, 4)
-        assert prob_divisor_prime_power(2, 1, 4, HALF) == prob_divisor_prime(2, 4, HALF)
+        assert prob_divisor_prime_power(2, 1, 4, HALF) == Fraction(3, 8)
         assert prob_divisor_prime_power(2, 2, 8, HALF) == Fraction(9, 64)
 
     def test_domain_errors(self):
@@ -122,14 +124,24 @@ class TestGeneralDivisor:
                 assert (prob_divisor_general(d, n, q)
                         == prob_divisor_prime_power(p, m, n, q))
 
-    def test_vectorized_filter_matches_small_path(self, monkeypatch):
-        expected = {(6, 12): prob_divisor_general(6, 12, HALF),
-                    (12, 12): prob_divisor_general(12, 12, HALF),
-                    (10, 20): prob_divisor_general(10, 20, THIRD)}
-        monkeypatch.setattr(singexact, "_VECTORIZE_THRESHOLD", 1)
-        assert prob_divisor_general(6, 12, HALF) == expected[(6, 12)]
-        assert prob_divisor_general(12, 12, HALF) == expected[(12, 12)]
-        assert prob_divisor_general(10, 20, THIRD) == expected[(10, 20)]
+    def test_matches_two_prime_coset_sum(self):
+        for q in (HALF, THIRD):
+            for d in (6, 10, 14, 15, 21, 22, 35):
+                for n in range(d, 61, d):
+                    assert (prob_divisor_general(d, n, q)
+                            == oracles.two_prime_coset_sum(d, n, q)), (d, n, q)
+        # d = 12 is not squarefree: pin the value the box returned before it
+        # had a single path, which is 100 of the 4096 rows of length 12
+        assert prob_divisor_general(12, 12, HALF) == Fraction(100, 4096)
+
+    def test_int64_overflow_refused_before_enumeration(self):
+        w = 1 << 61
+        with pytest.raises(BudgetExceededError) as err:
+            prob_divisor_general(6, 6 * w, HALF, budget=10 ** 100)
+        assert err.value.required == (w + 1) ** hnf_basis(6).rank
+        # fewer than 2^63 candidates, but w * rank * max|A| reaches 2^62
+        with pytest.raises(BudgetExceededError):
+            prob_divisor_general(2, 2 << 62, HALF, budget=10 ** 100)
 
     def test_budget_error_reports_required_count(self):
         with pytest.raises(BudgetExceededError) as err:
@@ -143,7 +155,7 @@ class TestBounds:
     def test_examples(self):
         lo, up = prob_bounds(2, 4, HALF)
         assert (lo, up) == (Fraction(1, 4), Fraction(1, 2))
-        assert lo <= prob_divisor_prime(2, 4, HALF) <= up
+        assert lo <= prob_divisor_prime_power(2, 1, 4, HALF) <= up
         assert prob_bounds(4, 4, HALF) == (None, Fraction(1, 4))
         assert prob_bounds(3, 9, HALF) == (Fraction(27, 512), Fraction(9, 64))
 
@@ -159,6 +171,12 @@ class TestBounds:
                 if lower is not None:
                     assert lower <= value
 
+    def test_exponent_budget(self, monkeypatch):
+        monkeypatch.setattr(binomstats, "POWER_SUM_BUDGET", 10)
+        assert prob_bounds(2, 20, HALF)[1] == Fraction(63, 256)  # n/d = 10
+        with pytest.raises(BudgetExceededError):
+            prob_bounds(2, 22, HALF)
+
 
 class TestClosedForm:
     def test_examples(self):
@@ -171,6 +189,14 @@ class TestClosedForm:
             assert prob_union_closed_form(n, HALF) is None
         with pytest.raises(ValueError):
             prob_union_closed_form(1, HALF)
+
+    def test_exponent_budget(self, monkeypatch):
+        monkeypatch.setattr(binomstats, "POWER_SUM_BUDGET", 10)
+        assert prob_union_closed_form(7, HALF) == Fraction(1, 64)
+        for n in (11, 13 * 13, 2 * 13):
+            with pytest.raises(BudgetExceededError):
+                prob_union_closed_form(n, HALF)
+        assert prob_union_closed_form(12, HALF) is None
 
     @pytest.mark.parametrize("q", [HALF, THIRD])
     def test_matches_determinant_oracle(self, q):
@@ -225,7 +251,7 @@ class TestSignedOps:
     def test_divisor_examples(self):
         assert signed_prob_divisor(1, 3, HALF) == 0
         assert signed_prob_divisor(1, 4, HALF) == Fraction(3, 8)
-        assert signed_prob_divisor(2, 4, HALF) == prob_divisor_prime(2, 4, HALF)
+        assert signed_prob_divisor(2, 4, HALF) == Fraction(3, 8)
 
     @pytest.mark.parametrize("n", range(2, 17))
     def test_signed_equals_binary_above_d1(self, n):
