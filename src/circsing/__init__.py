@@ -9,11 +9,10 @@ from .mcsim import EstimateWithCI, sample_singularity
 from .polycyc import (FirstRow, IntPolynomial, cyclotomic, fold,
                       reduce_mod_cyclotomic, singular_divisors)
 from .singexact import (Budgets, DivisorProbability, LatticeBasis,
-                        ProbabilityReport, divisor_probability, hnf_basis,
-                        prob_bounds, prob_divisor_general,
+                        ProbabilityReport, divisor_probability, exact_union,
+                        hnf_basis, prob_bounds, prob_divisor_general,
                         prob_divisor_prime_power, prob_union_bruteforce,
-                        prob_union_closed_form, report, signed_intersection_1_2,
-                        signed_prob_divisor)
+                        prob_union_closed_form, report, signed_intersection_1_2)
 
 __version__ = "0.1.0"
 
@@ -23,10 +22,11 @@ __all__ = [
     "IntPolynomial", "LatticeBasis", "ProbabilityReport", "approx_closed",
     "approx_main", "approx_signed", "binom_max", "binom_pdf_exact",
     "binom_pdf_log", "convergence_table", "cyclotomic", "demoivre_approx",
-    "divisor_probability", "fold", "hnf_basis", "power_sum_asymptotic",
-    "power_sum_exact", "prob_bounds", "prob_divisor_general",
+    "divisor_probability", "exact_union", "fold", "hnf_basis",
+    "power_sum_asymptotic", "power_sum_exact", "prob_bounds",
+    "prob_divisor_general",
     "prob_divisor_prime_power", "prob_union_bruteforce",
     "prob_union_closed_form", "reduce_mod_cyclotomic",
     "report", "sample_singularity", "signed_intersection_1_2",
-    "signed_prob_divisor", "singular_divisors",
+    "singular_divisors",
 ]

@@ -102,9 +102,10 @@ def convergence_table(q, n_list, model: str = "binary",
                       ) -> list[ConvergenceRow]:
     """Exact-vs-approximation rows, sorted by n.
 
-    Exact values come from the report strategy ladder and are absent when
-    no exact strategy fits the budgets (or when q is not rational); the
-    ratio column is exact/approx as a float.
+    Exact values come from the union ladder ``singexact.exact_union`` and
+    are absent when no exact strategy fits the budgets (or when q is not
+    rational); the ratio column is exact/approx as a float, absent when
+    either is absent or the approximation underflows to 0.0.
     """
     singexact._check_model(model)
     rows = []
@@ -114,8 +115,9 @@ def convergence_table(q, n_list, model: str = "binary",
         av = approx_signed(n, q) if model == "signed" else approx_main(n, q)
         exact = None
         if isinstance(q, Fraction):
-            exact = singexact.report(n, q, model, budgets).exact_union
-        ratio = None if exact is None else float(exact) / av.value
+            exact = singexact.exact_union(n, q, model, budgets)[0]
+        ratio = (None if exact is None or av.value == 0.0
+                 else float(exact) / av.value)
         rows.append(ConvergenceRow(n=n, exact=exact, approx=av.value,
                                    ratio=ratio, formula=av.formula))
     return rows

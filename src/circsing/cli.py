@@ -140,8 +140,8 @@ def table_to_csv(rows: list[asym.ConvergenceRow]) -> str:
     for row in rows:
         writer.writerow([
             row.n,
-            "" if row.exact is None else str(row.exact.numerator),
-            "" if row.exact is None else str(row.exact.denominator),
+            "" if row.exact is None else singexact.int_str(row.exact.numerator),
+            "" if row.exact is None else singexact.int_str(row.exact.denominator),
             "" if row.exact is None else f"{float(row.exact):.15g}",
             repr(row.approx),
             "" if row.ratio is None else repr(row.ratio),

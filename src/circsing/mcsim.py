@@ -19,8 +19,9 @@ from . import singexact
 
 GENERATOR = "philox-4x64-10"
 
-# Samples are generated in slices of at most this many rows to bound memory.
-_SLICE = 1 << 18
+# Each slice of samples draws at most this many raw Philox bytes (one row
+# takes 32 * ceil(n/4)), which bounds memory for every n.
+_SLICE_BYTES = 1 << 24
 
 
 @dataclasses.dataclass(frozen=True)
@@ -96,11 +97,12 @@ def sample_singularity(n: int, q, samples: int, seed: int,
     if not 0.0 < qf < 1.0:
         raise ValueError(f"q={q} must lie strictly between 0 and 1")
 
+    rows = max(1, _SLICE_BYTES // (32 * -(-n // 4)))
     count = 0
     start = 0
     for size in shard_sizes(samples, shards):
-        for offset in range(0, size, _SLICE):
-            step = min(_SLICE, size - offset)
+        for offset in range(0, size, rows):
+            step = min(rows, size - offset)
             bits = _sample_bits(seed, n, start + offset, step, qf)
             count += int(singexact.singular_mask(bits, model).sum())
         start += size

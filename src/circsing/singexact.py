@@ -9,6 +9,7 @@ independent fallback and oracle.  Every value is an exact Fraction.
 from __future__ import annotations
 
 import dataclasses
+import decimal
 import functools
 import logging
 import math
@@ -224,43 +225,38 @@ def prob_union_closed_form(n: int, q: Fraction) -> Fraction | None:
 def singular_mask(bits: np.ndarray, model: str = "binary") -> np.ndarray:
     """Exact singularity verdicts for a batch of first rows.
 
-    ``bits`` is an (m, n) array of 0/1 entries, one row per line.  Each
-    divisor test folds the rows into length d and applies the lattice
-    membership criterion s[rank:] == s[:rank] @ A; all arithmetic is
-    small-integer exact.  Equivalent to ``polycyc.singular_divisors``
-    being nonempty, row by row.
+    ``bits`` is an (m, n) array of 0/1 entries, one row per line.  The d = 1
+    event is row weight 0 (binary) or n/2 (signed).  Phi_d divides the
+    all-ones row J for every d >= 2 dividing n, so it divides the signed row
+    2b - J iff it divides b: both models fold the 0/1 rows into length d and
+    test lattice membership s[rank:] == s[:rank] @ A, exactly.  Equivalent
+    to ``polycyc.singular_divisors`` being nonempty, row by row.
     """
     _check_model(model)
     m, n = bits.shape
-    vals = bits.astype(np.int32)
-    if model == "signed":
-        vals = 2 * vals - 1
-    mask = np.zeros(m, dtype=bool)
-    for d in polycyc.divisors(n):
-        folded = vals.reshape(m, n // d, d).sum(axis=1, dtype=np.int32)
-        if d == 1:
-            hit = folded[:, 0] == 0
-        else:
-            basis = hnf_basis(d)
-            r = basis.rank
-            a = np.array(basis.tail, dtype=np.int32)
-            hit = (folded[:, r:] == folded[:, :r] @ a).all(axis=1)
-        mask |= hit
+    weight = bits.sum(axis=1, dtype=np.int32)
+    mask = weight == 0 if model == "binary" else 2 * weight == n
+    for d in polycyc.divisors(n)[1:]:
         if mask.all():
             break
+        folded = bits.reshape(m, n // d, d).sum(axis=1, dtype=np.int32)
+        basis = hnf_basis(d)
+        r = basis.rank
+        a = np.array(basis.tail, dtype=np.int32)
+        mask |= (folded[:, r:] == folded[:, :r] @ a).all(axis=1)
     return mask
 
 
 @functools.lru_cache(maxsize=64)
-def _singular_weight_counts(n: int, model: str) -> tuple[int, ...]:
-    """Count singular rows among all 2^n, grouped by number of one bits."""
+def _singular_weight_counts(n: int) -> tuple[int, ...]:
+    """Count singular binary rows among all 2^n, grouped by number of one bits."""
     counts = np.zeros(n + 1, dtype=np.int64)
     shifts = np.arange(n, dtype=np.int64)
     chunk = 1 << 20
     for start in range(0, 1 << n, chunk):
         idx = np.arange(start, min(start + chunk, 1 << n), dtype=np.int64)
         bits = ((idx[:, None] >> shifts) & 1).astype(np.int8)
-        sel = singular_mask(bits, model)
+        sel = singular_mask(bits)
         counts += np.bincount(bits.sum(axis=1, dtype=np.int64)[sel],
                               minlength=n + 1)
     return tuple(int(c) for c in counts)
@@ -281,24 +277,17 @@ def prob_union_bruteforce(n: int, q: Fraction, model: str = "binary",
         raise BudgetExceededError(
             f"brute force for n={n} needs {2**n} rows (budget {budget})",
             required=2**n, budget=budget)
-    counts = _singular_weight_counts(n, model)
+    counts = list(_singular_weight_counts(n))
+    if model == "signed":
+        # The models differ only in the d = 1 event (see singular_mask): the
+        # zero row is -J, singular iff n >= 2; every half-weight row is singular.
+        counts[0] = int(n >= 2)
+        if n % 2 == 0:
+            counts[n // 2] = math.comb(n, n // 2)
     one_minus = 1 - q
     return sum((Fraction(c) * q**w * one_minus**(n - w)
                 for w, c in enumerate(counts) if c),
                start=Fraction(0))
-
-
-def signed_prob_divisor(d: int, n: int, q: Fraction,
-                        budget: int = ENUMERATION_BUDGET) -> Fraction:
-    """Signed-model divisor probability.
-
-    Coincides with the binary value for every d != 1.  For d = 1 the
-    event is an exact half-weight row: probability 0 for odd n and
-    C(n, n/2) q^(n/2) (1-q)^(n/2) for even n.
-    """
-    if d < 1 or n % d:
-        raise ValueError(f"{d} does not divide {n}")
-    return _divisor_method(d, n, q, "signed", budget)[0]
 
 
 def signed_intersection_1_2(n: int, q: Fraction) -> Fraction:
@@ -311,58 +300,50 @@ def signed_intersection_1_2(n: int, q: Fraction) -> Fraction:
     return Fraction(math.comb(h, quarter)) ** 2 * q**h * (1 - q) ** h
 
 
-def _divisor_method(d: int, n: int, q: Fraction, model: str,
-                    budget: int) -> tuple[Fraction, str]:
-    """The one dispatch from d's factorization to (value, method tag)."""
-    if d == 1:
-        h = n // 2
-        if model == "binary":
-            value = (1 - q) ** n
-        elif n % 2:
-            value = Fraction(0)
-        else:
-            value = Fraction(math.comb(n, h)) * q**h * (1 - q) ** h
-        return value, "trivial-d1"
-    fac = polycyc.factorize(d)
-    if len(fac) == 1:
-        ((p, m),) = fac.items()
-        return (prob_divisor_prime_power(p, m, n, q),
-                "prime-closed-form" if m == 1 else "prime-power-closed-form")
-    return prob_divisor_general(d, n, q, budget), "lattice-enumeration"
-
-
 def divisor_probability(d: int, n: int, q: Fraction, model: str = "binary",
                         budgets: Budgets = DEFAULT_BUDGETS) -> DivisorProbability:
-    """Single divisor probability with the method that produced it."""
+    """Single divisor probability with the method that produced it: the one
+    dispatch on d's factorization (the models differ only at d = 1)."""
     _check_model(model)
     if d < 1 or n % d:
         raise ValueError(f"{d} does not divide {n}")
     binomstats._check_exact_q(q)
-    value, method = _divisor_method(d, n, q, model, budgets.enumeration)
+    fac = polycyc.factorize(d)
+    if d == 1:
+        # The event is row weight 0 (binary) or n/2 (signed, none for odd n).
+        value = Fraction(0)
+        if model == "binary" or n % 2 == 0:
+            value = binomstats.binom_pdf_exact(0 if model == "binary" else n // 2, n, q)
+        method = "trivial-d1"
+    elif len(fac) == 1:
+        ((p, m),) = fac.items()
+        value = prob_divisor_prime_power(p, m, n, q)
+        method = "prime-closed-form" if m == 1 else "prime-power-closed-form"
+    else:
+        value = prob_divisor_general(d, n, q, budgets.enumeration)
+        method = "lattice-enumeration"
     return DivisorProbability(d=d, n=n, q=q, value=value, method=method)
 
 
-def _exact_union(n: int, q: Fraction, model: str,
-                 budgets: Budgets) -> tuple[Fraction | None, str]:
+def exact_union(n: int, q: Fraction, model: str = "binary",
+                budgets: Budgets = DEFAULT_BUDGETS) -> tuple[Fraction | None, str]:
+    """Exact union over all divisors with its provenance: a trivial or closed
+    form, else the exhaustive 2^n enumeration within ``budgets.bruteforce``,
+    else None with ``absent-over-budget``."""
+    _check_model(model)
+    if n < 1:
+        raise ValueError("n must be positive")
+    binomstats._check_exact_q(q)
     if n == 1:
         return ((1 - q) if model == "binary" else Fraction(0)), "trivial-n1"
-    if model == "binary":
+    if model == "signed" and n == 2:
+        # det [[a, b], [b, a]] = a^2 - b^2 vanishes for all signs a, b
+        return Fraction(1), "closed-form"
+    if model == "binary" or n % 2:
+        # odd n: no signed row has half weight, so the two unions agree
         value = prob_union_closed_form(n, q)
         if value is not None:
             return value, "closed-form"
-    else:
-        if n == 2:
-            # inclusion-exclusion over the only divisors {1, 2}
-            value = (signed_prob_divisor(1, 2, q) + signed_prob_divisor(2, 2, q)
-                     - signed_intersection_1_2(2, q))
-            return value, "closed-form"
-        if n % 2:
-            # For odd n the half-weight d=1 event is empty and every other
-            # divisor event coincides with its binary counterpart, so the
-            # signed union equals the binary one.
-            value = prob_union_closed_form(n, q)
-            if value is not None:
-                return value, "closed-form"
     if 2 ** n <= budgets.bruteforce:
         return prob_union_bruteforce(n, q, model, budgets.bruteforce), "brute-force"
     return None, "absent-over-budget"
@@ -377,10 +358,7 @@ def report(n: int, q: Fraction, model: str = "binary",
     budget are listed in ``omitted`` and an out-of-budget union is left
     absent with provenance recording why.
     """
-    _check_model(model)
-    if n < 1:
-        raise ValueError("n must be positive")
-    binomstats._check_exact_q(q)
+    union, provenance = exact_union(n, q, model, budgets)
     per: list[DivisorProbability] = []
     omitted: list[tuple[int, str]] = []
     for d in polycyc.divisors(n):
@@ -389,15 +367,20 @@ def report(n: int, q: Fraction, model: str = "binary",
         except BudgetExceededError as exc:
             omitted.append((d, str(exc)))
     bounds = {d: prob_bounds(d, n, q) for d in polycyc.divisors(n) if d >= 2}
-    exact_union, provenance = _exact_union(n, q, model, budgets)
-    return ProbabilityReport(n=n, q=q, model=model, exact_union=exact_union,
+    return ProbabilityReport(n=n, q=q, model=model, exact_union=union,
                              per_divisor=tuple(per), bounds=bounds,
                              provenance=provenance, omitted=tuple(omitted))
 
 
+def int_str(x: int) -> str:
+    """Decimal digits of x past the interpreter's int-to-str digit limit;
+    Decimal ignores that limit, so the process-wide setting stays as it is."""
+    return str(decimal.Decimal(x))
+
+
 def rational_json(x: Fraction) -> dict[str, str]:
     """JSON form of an exact rational: num/den strings plus a decimal view."""
-    return {"num": str(x.numerator), "den": str(x.denominator),
+    return {"num": int_str(x.numerator), "den": int_str(x.denominator),
             "decimal": f"{float(x):.15g}"}
 
 

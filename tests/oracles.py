@@ -4,7 +4,8 @@ The determinant route never touches the library's cyclotomic or lattice
 machinery: it assembles the full n x n circulant integer matrix and runs
 fraction-free (Bareiss) Gaussian elimination.  The DFT eigenvalues are the
 floating-point cross-check of the exact singularity test, and the CRT coset
-sum is an independent route to two-prime divisor probabilities.
+sum is an independent route to two-prime divisor probabilities, and the
+chunked decimal conversion checks output past the int-to-str digit limit.
 """
 from __future__ import annotations
 
@@ -115,6 +116,16 @@ def two_prime_coset_sum(d: int, n: int, q: Fraction) -> Fraction:
         total += sum(math.prod(mass(e + cj) for cj in c)
                      for e in range(w + 1)) ** p
     return total
+
+
+def decimal_digits(x: int) -> str:
+    """Decimal digits of x >= 0 in 1000-digit pieces, each under the
+    interpreter's int-to-str limit."""
+    pieces = []
+    while x >= 10 ** 1000:
+        x, low = divmod(x, 10 ** 1000)
+        pieces.append(f"{low:01000d}")
+    return str(x) + "".join(reversed(pieces))
 
 
 def max_pdf_by_scan(n: int, q: Fraction) -> tuple[int, Fraction]:

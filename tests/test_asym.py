@@ -143,3 +143,10 @@ class TestConvergenceTable:
     def test_rejects_n_below_two(self):
         with pytest.raises(ValueError):
             convergence_table(HALF, [1, 4])
+
+    def test_underflowed_approx_leaves_ratio_absent(self):
+        # prime n = 1103: approx_main is 2^-1102, which is 0.0 as a float
+        (row,) = convergence_table(HALF, [1103])
+        assert row.exact == HALF ** 1102
+        assert row.approx == 0.0
+        assert row.ratio is None

@@ -7,6 +7,8 @@ import pytest
 
 from circsing import asym, binomstats, cli
 
+import oracles
+
 HALF = Fraction(1, 2)
 
 
@@ -51,6 +53,23 @@ class TestExactCommand:
         code, _, err = run_capture(capsys, ["exact", "--n", "4", "--q", "0.5"])
         assert code == 2
         assert "fraction" in err
+
+    def test_digits_beyond_str_limit(self, capsys):
+        # prime n: (1/3)^n + (2/3)^n, whose denominator has 4308 digits,
+        # above the interpreter's default limit of 4300
+        value = Fraction(1 + 2 ** 9029, 3 ** 9029)
+        want = {"num": oracles.decimal_digits(value.numerator),
+                "den": oracles.decimal_digits(value.denominator)}
+        assert len(want["den"]) == 4308
+        code, out, _ = run_capture(capsys, ["exact", "--n", "9029", "--q", "1/3"])
+        assert code == 0
+        union = json.loads(out)["exact_union"]
+        assert {k: union[k] for k in want} == want
+        code, out, _ = run_capture(
+            capsys, ["divisor", "--n", "9029", "--d", "9029", "--q", "1/3"])
+        assert code == 0
+        divisor = json.loads(out)["value"]
+        assert {k: divisor[k] for k in want} == want
 
     def test_output_file(self, tmp_path, capsys):
         path = tmp_path / "report.json"
@@ -130,6 +149,24 @@ class TestTableCommand:
         data = json.loads(out)
         assert [e["n"] for e in data] == [4, 5, 6]
         assert data[1]["ratio"] == 1.0
+
+    def test_underflowed_approx(self, capsys):
+        code, out, _ = run_capture(
+            capsys, ["table", "--n-range", "1100:1110", "--q", "1/2"])
+        assert code == 0
+        row = next(r for r in table_from_csv(out) if r.n == 1103)
+        assert row.exact == HALF ** 1102
+        assert row.approx == 0.0 and row.ratio is None
+
+    def test_digits_beyond_str_limit(self, capsys):
+        code, out, _ = run_capture(
+            capsys, ["table", "--n-range", "9029:9029", "--q", "1/3"])
+        assert code == 0
+        cells = out.splitlines()[1].split(",")
+        value = Fraction(1 + 2 ** 9029, 3 ** 9029)
+        assert cells[1] == oracles.decimal_digits(value.numerator)
+        assert cells[2] == oracles.decimal_digits(value.denominator)
+        assert cells[5] == ""  # the approximation underflows to 0.0
 
     def test_range_parsing(self):
         assert cli.parse_n_range("4:8:2") == [4, 6, 8]

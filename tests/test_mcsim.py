@@ -107,10 +107,24 @@ class TestEstimateFields:
         with pytest.raises(ValueError):
             sample_singularity(4, 0.5, 100, seed=2 ** 64)
 
-    def test_slicing_inside_shard_matches_layout(self):
+    def test_slicing_inside_shard_matches_layout(self, monkeypatch):
         whole = mcsim._sample_bits(seed=3, n=5, start=0, count=1000, q=0.5)
         parts = np.vstack([
             mcsim._sample_bits(seed=3, n=5, start=0, count=400, q=0.5),
             mcsim._sample_bits(seed=3, n=5, start=400, count=600, q=0.5),
         ])
         assert np.array_equal(whole, parts)
+        # n = 5 takes two Philox blocks of 32 bytes per row, so a 7-row byte
+        # bound cuts each shard into slices of at most 7 rows
+        unsliced = sample_singularity(5, 0.5, 1000, seed=3, shards=3)
+        steps = []
+        sample_bits = mcsim._sample_bits
+
+        def recording_sample_bits(seed, n, start, count, q):
+            steps.append(count)
+            return sample_bits(seed, n, start, count, q)
+        monkeypatch.setattr(mcsim, "_sample_bits", recording_sample_bits)
+        monkeypatch.setattr(mcsim, "_SLICE_BYTES", 7 * 64 + 63)
+        sliced = sample_singularity(5, 0.5, 1000, seed=3, shards=3)
+        assert sliced == unsliced
+        assert max(steps) == 7 and sum(steps) == 1000

@@ -5,16 +5,15 @@ from itertools import product
 import numpy as np
 import pytest
 
-from circsing import binomstats, polycyc
+from circsing import asym, binomstats, polycyc, singexact
 from circsing.errors import BudgetExceededError
 from circsing.polycyc import FirstRow, cyclotomic, singular_divisors
-from circsing.singexact import (Budgets, divisor_probability, hnf_basis,
-                                prob_bounds, prob_divisor_general,
+from circsing.singexact import (Budgets, divisor_probability, exact_union,
+                                hnf_basis, prob_bounds, prob_divisor_general,
                                 prob_divisor_prime_power,
                                 prob_union_bruteforce, prob_union_closed_form,
                                 rational_json, report, report_json,
-                                signed_intersection_1_2, signed_prob_divisor,
-                                singular_mask)
+                                signed_intersection_1_2, singular_mask)
 
 import oracles
 
@@ -230,6 +229,25 @@ class TestBruteForce:
         with pytest.raises(BudgetExceededError):
             prob_union_bruteforce(30, HALF, budget=1 << 20)
 
+    def test_signed_matches_scalar_path(self):
+        # the signed counts are derived from the binary enumeration; the
+        # scalar test reduces each signed row polynomial on its own
+        for n in range(1, 13):
+            hits = [0] * (n + 1)
+            for bits in product((0, 1), repeat=n):
+                if singular_divisors(FirstRow(n, bits), signed=True):
+                    hits[sum(bits)] += 1
+            for q in (HALF, THIRD):
+                want = sum(c * q**w * (1 - q) ** (n - w)
+                           for w, c in enumerate(hits))
+                assert prob_union_bruteforce(n, q, "signed") == want, (n, q)
+
+    def test_signed_reuses_binary_enumeration(self):
+        prob_union_bruteforce(14, THIRD)
+        misses = singexact._singular_weight_counts.cache_info().misses
+        prob_union_bruteforce(14, THIRD, "signed")
+        assert singexact._singular_weight_counts.cache_info().misses == misses
+
 
 class TestSingularMask:
     @pytest.mark.parametrize("model", ["binary", "signed"])
@@ -249,16 +267,16 @@ class TestSingularMask:
 
 class TestSignedOps:
     def test_divisor_examples(self):
-        assert signed_prob_divisor(1, 3, HALF) == 0
-        assert signed_prob_divisor(1, 4, HALF) == Fraction(3, 8)
-        assert signed_prob_divisor(2, 4, HALF) == Fraction(3, 8)
+        assert divisor_probability(1, 3, HALF, "signed").value == 0
+        assert divisor_probability(1, 4, HALF, "signed").value == Fraction(3, 8)
+        assert divisor_probability(2, 4, HALF, "signed").value == Fraction(3, 8)
 
     @pytest.mark.parametrize("n", range(2, 17))
     def test_signed_equals_binary_above_d1(self, n):
         for d in polycyc.divisors(n):
             if d == 1:
                 continue
-            assert (signed_prob_divisor(d, n, HALF)
+            assert (divisor_probability(d, n, HALF, "signed").value
                     == divisor_probability(d, n, HALF).value)
 
     def test_intersection_examples(self):
@@ -313,6 +331,33 @@ class TestReport:
         assert rep.provenance == "brute-force"
         assert rep.exact_union == Fraction(47, 128)  # determinant-oracle value
 
+    def test_exact_union_edges(self):
+        for q in (HALF, THIRD):
+            assert exact_union(1, q, "signed") == (0, "trivial-n1")
+            assert prob_union_bruteforce(1, q, "signed") == 0
+            assert exact_union(2, q, "signed") == (1, "closed-form")
+            assert prob_union_bruteforce(2, q, "signed") == 1
+        with pytest.raises(ValueError):
+            exact_union(4, HALF, "ternary")
+        with pytest.raises(ValueError):
+            exact_union(0, HALF)
+        with pytest.raises(ValueError):
+            exact_union(4, 0.5)
+
+    def test_table_skips_per_divisor_values(self, monkeypatch):
+        calls = []
+        box = singexact.prob_divisor_general
+
+        def counting_box(*args, **kwargs):
+            calls.append(args)
+            return box(*args, **kwargs)
+        monkeypatch.setattr(singexact, "prob_divisor_general", counting_box)
+        rows = asym.convergence_table(HALF, range(2, 17))
+        assert calls == []
+        assert [r.exact for r in rows] == [report(n, HALF).exact_union
+                                           for n in range(2, 17)]
+        assert calls  # report itself goes through the box for d = 6, 10, ...
+
     def test_signed_strategies(self):
         assert report(2, HALF, "signed").exact_union == 1
         # odd n: signed union equals the binary one
@@ -344,6 +389,14 @@ class TestJson:
     def test_rational_json(self):
         assert rational_json(Fraction(7, 16)) == {
             "num": "7", "den": "16", "decimal": "0.4375"}
+
+    def test_rational_json_beyond_str_digit_limit(self):
+        den = 3 ** 9029  # 4308 digits, above the default limit of 4300
+        data = rational_json(Fraction(2, den))
+        assert data["num"] == "2"
+        assert data["den"] == oracles.decimal_digits(den)
+        assert len(data["den"]) == 4308
+        assert data["decimal"] == "0"
 
     def test_report_json_shape(self):
         data = report_json(report(6, HALF))
