@@ -105,7 +105,8 @@ def convergence_table(q, n_list, model: str = "binary",
     Exact values come from the union ladder ``singexact.exact_union`` and
     are absent when no exact strategy fits the budgets (or when q is not
     rational); the ratio column is exact/approx as a float, absent when
-    either is absent or the approximation underflows to 0.0.
+    either is absent.  When the dominant-divisor sum underflows to 0.0, the
+    ratio divides by that sum as an exact Fraction instead.
     """
     singexact._check_model(model)
     rows = []
@@ -116,8 +117,13 @@ def convergence_table(q, n_list, model: str = "binary",
         exact = None
         if isinstance(q, Fraction):
             exact = singexact.exact_union(n, q, model, budgets)[0]
-        ratio = (None if exact is None or av.value == 0.0
-                 else float(exact) / av.value)
+        if exact is None:
+            ratio = None
+        elif av.value == 0.0 and av.formula == "main-theorem":
+            p = polycyc.smallest_prime(n)
+            ratio = float(exact / binomstats.power_sum_exact(n // p, p, q))
+        else:
+            ratio = float(exact) / av.value
         rows.append(ConvergenceRow(n=n, exact=exact, approx=av.value,
                                    ratio=ratio, formula=av.formula))
     return rows

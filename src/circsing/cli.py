@@ -207,7 +207,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write machine output to this path (default stdout)")
         if exact_budgets:
             p.add_argument("--enum-budget", type=int, default=None,
-                           help="max lattice-box candidates per divisor")
+                           help="max image vectors per divisor, "
+                                "(n/d + 1)^(rad d / P(rad d))")
             p.add_argument("--brute-budget", type=int, default=None,
                            help="max rows for exhaustive union enumeration")
 

@@ -1,7 +1,7 @@
 """Exact singularity probabilities of random circulant Bernoulli matrices.
 
 Per-divisor probabilities come from binomial power-sum closed forms when the
-divisor is a prime power and from exact lattice-box enumeration otherwise.
+divisor is a prime power and from a CRT image sum over rad(d) otherwise.
 Unions over all divisors use closed forms for n in {prime, prime^2,
 prime*prime'}, and an exhaustive weighted enumeration of all 2^n rows as the
 independent fallback and oracle.  Every value is an exact Fraction.
@@ -22,7 +22,7 @@ from .errors import BudgetExceededError
 
 log = logging.getLogger(__name__)
 
-#: Default cap on lattice-box candidate vectors per divisor.
+#: Default cap on image vectors, (n/d + 1)^m, per divisor.
 ENUMERATION_BUDGET = 10_000_000
 #: Default cap on rows for the exhaustive union enumeration.
 BRUTEFORCE_BUDGET = 1 << 26
@@ -91,7 +91,7 @@ class DivisorProbability:
     n: int
     q: Fraction
     value: Fraction
-    method: str  # prime-closed-form | prime-power-closed-form | lattice-enumeration | trivial-d1
+    method: str  # prime-closed-form | prime-power-closed-form | crt-image-sum | trivial-d1
 
 
 @dataclasses.dataclass(frozen=True)
@@ -122,62 +122,62 @@ def prob_divisor_prime_power(p: int, m: int, n: int, q: Fraction) -> Fraction:
 
 def prob_divisor_general(d: int, n: int, q: Fraction,
                          budget: int = ENUMERATION_BUDGET) -> Fraction:
-    """Exact divisor probability for any d | n, d >= 2, by box enumeration.
+    """Exact divisor probability for any d | n, d >= 2, by a CRT image sum.
 
-    Walks the necessary box [0, n/d]^rank of free coordinates, maps each
-    candidate through the basis (I | A), keeps vectors whose dependent
-    coordinates also land in [0, n/d], and sums the products of binomial
-    masses.  Agrees with the prime-power closed forms where both apply.
-    Refuses with BudgetExceededError when the candidate count exceeds
-    ``budget`` or when the int64 filter could overflow.
+    Phi_d(x) = Phi_k(x^e) for k = rad d and e = d/k, so P(d, n) = P(k, n/e)^e
+    over the e independent sub-rows s[j::e] of the fold.  For k = p*m, p the
+    largest prime, Phi_k divides a row iff its p sub-rows of length m share
+    one image s[r:] - s[:r] @ A in Z[x]/Phi_m (A the hnf_basis(m) tail; de
+    Bruijn 1953), so P(k, n/e) = sum_v pi_m(v)^p for pi_m the image law under
+    iid Binomial(n/d, q) entries, the binomial power sum when m = 1.  Refuses
+    when the (n/d + 1)^m vectors exceed ``budget`` or could overflow int64.
     """
     if d < 2:
         raise ValueError("d must be at least 2")
     if n % d:
         raise ValueError(f"{d} does not divide {n}")
     binomstats._check_exact_q(q)
-    w = n // d
-    basis = hnf_basis(d)
-    r = basis.rank
-    required = (w + 1) ** r
+    *rest, p = sorted(polycyc.factorize(d))
+    m = math.prod(rest)
+    e, w = d // (p * m), n // d
+    if m == 1:
+        return binomstats.power_sum_exact(w, p, q) ** e
+    required = (w + 1) ** m
     if required > budget:
         raise BudgetExceededError(
-            f"lattice enumeration for d={d}, n={n} needs {required} "
+            f"CRT image sum for d={d}, n={n} needs {required} "
             f"candidate vectors (budget {budget})",
             required=required, budget=budget)
-    tail = np.array(basis.tail, dtype=np.int64)
-    max_tail = int(np.abs(tail).max(initial=0))
-    if required >= 2 ** 63 or w * r * max_tail >= 2 ** 62:
+    basis = hnf_basis(m)
+    r, tail = basis.rank, np.array(basis.tail, dtype=np.int64)
+    if required >= 2 ** 63 or w * r * int(np.abs(tail).max()) >= 2 ** 62:
         raise BudgetExceededError(
-            f"lattice enumeration for d={d}, n={n} needs {required} "
-            f"candidate vectors, beyond the int64 range of the box filter",
+            f"CRT image sum for d={d}, n={n} needs {required} "
+            f"candidate vectors, beyond the int64 range of the image product",
             required=required, budget=budget)
-    comb = [math.comb(w, k) for k in range(w + 1)]
-    coeff_by_weight: dict[int, int] = {}
-    radix = w + 1
+    # Numerators over b^w of the Binomial(w, a/b) masses.  A vector's mass
+    # depends only on its sorted values: group by (image, sorted values).
+    a, b = q.numerator, q.denominator
+    mass = [math.comb(w, k) * a**k * (b - a) ** (w - k) for k in range(w + 1)]
+    place = (w + 1) ** np.arange(m, dtype=np.int64)
+    group_mass: dict[tuple[int, ...], int] = {}
+    image_mass: dict[tuple[int, ...], int] = {}
     chunk = 1 << 16
-    kept = 0
     for start in range(0, required, chunk):
         idx = np.arange(start, min(start + chunk, required), dtype=np.int64)
-        digits = np.empty((len(idx), r), dtype=np.int64)
-        rem = idx
-        for i in range(r - 1, -1, -1):
-            digits[:, i] = rem % radix
-            rem = rem // radix
-        tails = digits @ tail
-        ok = ((tails >= 0) & (tails <= w)).all(axis=1)
-        for zrow, trow in zip(digits[ok].tolist(), tails[ok].tolist()):
-            wt = sum(zrow) + sum(trow)
-            coef = (math.prod(comb[v] for v in zrow)
-                    * math.prod(comb[v] for v in trow))
-            coeff_by_weight[wt] = coeff_by_weight.get(wt, 0) + coef
-        kept += int(ok.sum())
-    log.debug("box enumeration d=%d n=%d: kept %d of %d candidates",
-              d, n, kept, required)
-    one_minus = 1 - q
-    return sum((Fraction(coef) * q**wt * one_minus**(n - wt)
-                for wt, coef in sorted(coeff_by_weight.items())),
-               start=Fraction(0))
+        digits = idx[:, None] // place % (w + 1)
+        keys = np.hstack([digits[:, r:] - digits[:, :r] @ tail,
+                          np.sort(digits, axis=1)])
+        groups, counts = np.unique(keys, axis=0, return_counts=True)
+        for key, count in zip(groups.tolist(), counts.tolist()):
+            image, values = tuple(key[:m - r]), tuple(key[m - r:])
+            if values not in group_mass:
+                group_mass[values] = math.prod(mass[v] for v in values)
+            image_mass[image] = image_mass.get(image, 0) + count * group_mass[values]
+    log.debug("CRT image sum d=%d n=%d: kept %d of %d candidates",
+              d, n, len(image_mass), required)
+    total = sum(num ** p for num in image_mass.values())
+    return Fraction(total, b ** (m * w * p)) ** e
 
 
 def prob_bounds(d: int, n: int, q: Fraction) -> tuple[Fraction | None, Fraction]:
@@ -321,7 +321,7 @@ def divisor_probability(d: int, n: int, q: Fraction, model: str = "binary",
         method = "prime-closed-form" if m == 1 else "prime-power-closed-form"
     else:
         value = prob_divisor_general(d, n, q, budgets.enumeration)
-        method = "lattice-enumeration"
+        method = "crt-image-sum"
     return DivisorProbability(d=d, n=n, q=q, value=value, method=method)
 
 

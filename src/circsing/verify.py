@@ -97,7 +97,7 @@ def check_union_closed_forms() -> Check:
             "q in {1/2, 1/3}; P(4)=1/2, P(6)=7/16", ok and spot, detail)
 
 
-def check_box_vs_prime_powers() -> Check:
+def check_divisor_engine() -> Check:
     ok = True
     for n in range(2, 33):
         for d in polycyc.divisors(n):
@@ -108,11 +108,24 @@ def check_box_vs_prime_powers() -> Check:
             if (singexact.prob_divisor_general(d, n, HALF)
                     != singexact.prob_divisor_prime_power(p, m, n, HALF)):
                 ok = False
+    # every d >= 2 against the event weight counted row by row
+    for n in range(2, 11):
+        hits = {d: [0] * (n + 1) for d in polycyc.divisors(n)[1:]}
+        for bits in itertools.product((0, 1), repeat=n):
+            for d in polycyc.singular_divisors(polycyc.FirstRow(n, bits)) - {1}:
+                hits[d][sum(bits)] += 1
+        for q in (HALF, THIRD):
+            for d, counts in hits.items():
+                want = sum(c * q**w * (1 - q) ** (n - w)
+                           for w, c in enumerate(counts))
+                if singexact.prob_divisor_general(d, n, q) != want:
+                    ok = False
     hits = sum(6 in polycyc.singular_divisors(polycyc.FirstRow(6, bits))
                for bits in itertools.product((0, 1), repeat=6))
     event_ok = (hits == 10
                 and singexact.prob_divisor_general(6, 6, HALF) == Fraction(10, 64))
-    return ("box enumeration matches prime-power closed forms; "
+    return ("divisor engine matches prime-power closed forms (d <= 16, "
+            "n <= 32) and row-by-row event weights (n <= 10, q in {1/2, 1/3}); "
             "divisor-6 event count is 10/64", ok and event_ok, "")
 
 
@@ -200,7 +213,7 @@ SUITES: dict[str, tuple[Callable[[], Check], ...]] = {
     "algebra": (check_cyclotomic_identities, check_prime_shift_congruence,
                 check_fold_commutes),
     "bounds": (check_divisor_bounds,),
-    "closed-forms": (check_union_closed_forms, check_box_vs_prime_powers,
+    "closed-forms": (check_union_closed_forms, check_divisor_engine,
                      check_signed_intersection),
     "asymptotics": (check_primes_exact, check_rate_agreement,
                     check_power_sum_asymptotics, check_normal_approximation),

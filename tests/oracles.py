@@ -4,18 +4,28 @@ The determinant route never touches the library's cyclotomic or lattice
 machinery: it assembles the full n x n circulant integer matrix and runs
 fraction-free (Bareiss) Gaussian elimination.  The DFT eigenvalues are the
 floating-point cross-check of the exact singularity test, and the CRT coset
-sum is an independent route to two-prime divisor probabilities, and the
-chunked decimal conversion checks output past the int-to-str digit limit.
+sum is an independent route to two-prime divisor probabilities, box
+enumeration over the lattice basis is an independent route to every divisor
+probability, and the chunked decimal conversion checks output past the
+int-to-str digit limit.
 """
 from __future__ import annotations
 
 import cmath
+import logging
 import math
 import warnings
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
+
+from circsing.binomstats import _check_exact_q
+from circsing.errors import BudgetExceededError
 from circsing.polycyc import FirstRow, factorize, singular_divisors
+from circsing.singexact import ENUMERATION_BUDGET, hnf_basis
+
+log = logging.getLogger(__name__)
 
 
 def bareiss_det(matrix: list[list[int]]) -> int:
@@ -116,6 +126,66 @@ def two_prime_coset_sum(d: int, n: int, q: Fraction) -> Fraction:
         total += sum(math.prod(mass(e + cj) for cj in c)
                      for e in range(w + 1)) ** p
     return total
+
+
+def box_probability(d: int, n: int, q: Fraction,
+                    budget: int = ENUMERATION_BUDGET) -> Fraction:
+    """Exact divisor probability for any d | n, d >= 2, by box enumeration.
+
+    Walks the necessary box [0, n/d]^rank of free coordinates, maps each
+    candidate through the basis (I | A), keeps vectors whose dependent
+    coordinates also land in [0, n/d], and sums the products of binomial
+    masses.  Agrees with the prime-power closed forms where both apply.
+    Refuses with BudgetExceededError when the candidate count exceeds
+    ``budget`` or when the int64 filter could overflow.
+    """
+    if d < 2:
+        raise ValueError("d must be at least 2")
+    if n % d:
+        raise ValueError(f"{d} does not divide {n}")
+    _check_exact_q(q)
+    w = n // d
+    basis = hnf_basis(d)
+    r = basis.rank
+    required = (w + 1) ** r
+    if required > budget:
+        raise BudgetExceededError(
+            f"lattice enumeration for d={d}, n={n} needs {required} "
+            f"candidate vectors (budget {budget})",
+            required=required, budget=budget)
+    tail = np.array(basis.tail, dtype=np.int64)
+    max_tail = int(np.abs(tail).max(initial=0))
+    if required >= 2 ** 63 or w * r * max_tail >= 2 ** 62:
+        raise BudgetExceededError(
+            f"lattice enumeration for d={d}, n={n} needs {required} "
+            f"candidate vectors, beyond the int64 range of the box filter",
+            required=required, budget=budget)
+    comb = [math.comb(w, k) for k in range(w + 1)]
+    coeff_by_weight: dict[int, int] = {}
+    radix = w + 1
+    chunk = 1 << 16
+    kept = 0
+    for start in range(0, required, chunk):
+        idx = np.arange(start, min(start + chunk, required), dtype=np.int64)
+        digits = np.empty((len(idx), r), dtype=np.int64)
+        rem = idx
+        for i in range(r - 1, -1, -1):
+            digits[:, i] = rem % radix
+            rem = rem // radix
+        tails = digits @ tail
+        ok = ((tails >= 0) & (tails <= w)).all(axis=1)
+        for zrow, trow in zip(digits[ok].tolist(), tails[ok].tolist()):
+            wt = sum(zrow) + sum(trow)
+            coef = (math.prod(comb[v] for v in zrow)
+                    * math.prod(comb[v] for v in trow))
+            coeff_by_weight[wt] = coeff_by_weight.get(wt, 0) + coef
+        kept += int(ok.sum())
+    log.debug("box enumeration d=%d n=%d: kept %d of %d candidates",
+              d, n, kept, required)
+    one_minus = 1 - q
+    return sum((Fraction(coef) * q**wt * one_minus**(n - wt)
+                for wt, coef in sorted(coeff_by_weight.items())),
+               start=Fraction(0))
 
 
 def decimal_digits(x: int) -> str:

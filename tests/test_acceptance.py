@@ -15,6 +15,8 @@ from fractions import Fraction
 
 from circsing import asym, binomstats, polycyc, singexact, verify
 
+import oracles
+
 HALF = Fraction(1, 2)
 
 
@@ -45,9 +47,21 @@ def test_criterion_3_closed_forms_vs_bruteforce():
 
 
 def test_criterion_4_divisor_formula_cross_agreement():
-    _, ok, _ = verify.check_box_vs_prime_powers()
-    criterion(4, "box enumeration equals prime-power closed forms "
-                 "(d <= 16, n <= 32); divisor-6 event count is 10/64", ok)
+    _, ok, _ = verify.check_divisor_engine()
+    box_ok = True
+    for n in range(2, 33):
+        for d in polycyc.divisors(n):
+            fac = polycyc.factorize(d)
+            if d < 2 or d > 16 or len(fac) != 1:
+                continue
+            ((p, m),) = fac.items()
+            if (oracles.box_probability(d, n, HALF)
+                    != singexact.prob_divisor_prime_power(p, m, n, HALF)):
+                box_ok = False
+    criterion(4, "divisor engine and box enumeration equal prime-power "
+                 "closed forms (d <= 16, n <= 32); engine equals row-by-row "
+                 "event weights (n <= 10); divisor-6 event count is 10/64",
+              ok and box_ok)
 
 
 def test_criterion_5_divisor_probability_bounds():

@@ -144,9 +144,13 @@ class TestConvergenceTable:
         with pytest.raises(ValueError):
             convergence_table(HALF, [1, 4])
 
-    def test_underflowed_approx_leaves_ratio_absent(self):
-        # prime n = 1103: approx_main is 2^-1102, which is 0.0 as a float
+    def test_underflowed_approx_takes_ratio_from_exact_sum(self):
+        # prime n = 1103: approx_main is 2^-1102, which is 0.0 as a float;
+        # the ratio divides by the exact dominant sum, equal to the union
         (row,) = convergence_table(HALF, [1103])
         assert row.exact == HALF ** 1102
         assert row.approx == 0.0
-        assert row.ratio is None
+        assert row.ratio == 1.0
+        # a float q has no exact union, so the ratio stays absent
+        (row,) = convergence_table(0.5, [1103])
+        assert row.approx == 0.0 and row.exact is None and row.ratio is None

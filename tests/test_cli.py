@@ -156,7 +156,8 @@ class TestTableCommand:
         assert code == 0
         row = next(r for r in table_from_csv(out) if r.n == 1103)
         assert row.exact == HALF ** 1102
-        assert row.approx == 0.0 and row.ratio is None
+        # the ratio comes from the exact dominant sum, which equals the union
+        assert row.approx == 0.0 and row.ratio == 1.0
 
     def test_digits_beyond_str_limit(self, capsys):
         code, out, _ = run_capture(
@@ -166,7 +167,8 @@ class TestTableCommand:
         value = Fraction(1 + 2 ** 9029, 3 ** 9029)
         assert cells[1] == oracles.decimal_digits(value.numerator)
         assert cells[2] == oracles.decimal_digits(value.denominator)
-        assert cells[5] == ""  # the approximation underflows to 0.0
+        assert cells[4] == "0.0"  # the approximation underflows to 0.0
+        assert cells[5] == "1.0"  # ratio to the exact dominant sum
 
     def test_range_parsing(self):
         assert cli.parse_n_range("4:8:2") == [4, 6, 8]
@@ -202,10 +204,17 @@ class TestMcCommand:
 class TestBudgetsAndErrors:
     def test_enumeration_budget_flag(self, capsys):
         code, _, err = run_capture(
-            capsys, ["divisor", "--n", "24", "--d", "12", "--q", "1/2",
+            capsys, ["divisor", "--n", "60", "--d", "30", "--q", "1/2",
                      "--enum-budget", "10"])
         assert code == 3
         assert "candidate" in err
+
+    def test_image_vector_budget(self, capsys):
+        # d = 105 at n = 210 needs 3^15 image vectors, above the default 10^7
+        code, _, err = run_capture(
+            capsys, ["divisor", "--n", "210", "--d", "105", "--q", "1/2"])
+        assert code == 3
+        assert str(3 ** 15) in err
 
     def test_bounds_exponent_budget(self, capsys, monkeypatch):
         monkeypatch.setattr(binomstats, "POWER_SUM_BUDGET", 10)
@@ -223,7 +232,7 @@ class TestBudgetsAndErrors:
     def test_enumeration_budget_env(self, capsys, monkeypatch):
         monkeypatch.setenv("CIRCSING_ENUM_BUDGET", "10")
         code, _, err = run_capture(
-            capsys, ["divisor", "--n", "24", "--d", "12", "--q", "1/2"])
+            capsys, ["divisor", "--n", "60", "--d", "30", "--q", "1/2"])
         assert code == 3
 
     def test_usage_error(self, capsys):

@@ -129,23 +129,65 @@ class TestGeneralDivisor:
                 for n in range(d, 61, d):
                     assert (prob_divisor_general(d, n, q)
                             == oracles.two_prime_coset_sum(d, n, q)), (d, n, q)
-        # d = 12 is not squarefree: pin the value the box returned before it
-        # had a single path, which is 100 of the 4096 rows of length 12
+        # d = 12 is not squarefree: pin the value the box enumeration gave,
+        # which is 100 of the 4096 rows of length 12
         assert prob_divisor_general(12, 12, HALF) == Fraction(100, 4096)
+
+    @pytest.mark.parametrize("q", [HALF, THIRD, Fraction(2, 7)])
+    def test_matches_box_oracle(self, q):
+        # every d >= 2, including the non-squarefree 12, 18, 20, 24, 28
+        # that go through the radical reduction
+        for n in range(2, 31):
+            for d in polycyc.divisors(n)[1:]:
+                assert (prob_divisor_general(d, n, q)
+                        == oracles.box_probability(d, n, q)), (d, n, q)
+
+    @pytest.mark.parametrize("model", ["binary", "signed"])
+    @pytest.mark.parametrize("q", [HALF, THIRD])
+    def test_every_divisor_resolves_up_to_120(self, model, q):
+        for n in range(1, 121):
+            for d in polycyc.divisors(n):
+                dp = divisor_probability(d, n, q, model)
+                assert 0 <= dp.value <= 1
+                if len(polycyc.factorize(d)) > 1:
+                    assert dp.method == "crt-image-sum"
 
     def test_int64_overflow_refused_before_enumeration(self):
         w = 1 << 61
         with pytest.raises(BudgetExceededError) as err:
-            prob_divisor_general(6, 6 * w, HALF, budget=10 ** 100)
+            oracles.box_probability(6, 6 * w, HALF, budget=10 ** 100)
         assert err.value.required == (w + 1) ** hnf_basis(6).rank
         # fewer than 2^63 candidates, but w * rank * max|A| reaches 2^62
         with pytest.raises(BudgetExceededError):
-            prob_divisor_general(2, 2 << 62, HALF, budget=10 ** 100)
+            oracles.box_probability(2, 2 << 62, HALF, budget=10 ** 100)
 
     def test_budget_error_reports_required_count(self):
         with pytest.raises(BudgetExceededError) as err:
-            prob_divisor_general(12, 24, HALF, budget=10)
+            oracles.box_probability(12, 24, HALF, budget=10)
         assert err.value.required == 3 ** 8
+        with pytest.raises(ValueError):
+            oracles.box_probability(5, 12, HALF)
+
+    def test_engine_refuses_huge_inputs_before_enumeration(self):
+        w = 1 << 61
+        with pytest.raises(BudgetExceededError) as err:
+            prob_divisor_general(6, 6 * w, HALF, budget=10 ** 100)
+        assert err.value.required == (w + 1) ** 2  # rad 6 = 3 * 2, m = 2
+        # m = 1: the binomial power sum refuses the exponent 2 * 2^62
+        with pytest.raises(BudgetExceededError):
+            prob_divisor_general(2, 2 << 62, HALF, budget=10 ** 100)
+
+    def test_engine_budget_error_reports_required_count(self):
+        # d = 12: rad 6 = 3 * 2, so (24/12 + 1)^2 image vectors
+        with pytest.raises(BudgetExceededError) as err:
+            prob_divisor_general(12, 24, HALF, budget=8)
+        assert err.value.required == 9
+        assert (prob_divisor_general(12, 24, HALF, budget=9)
+                == oracles.box_probability(12, 24, HALF))
+        # d = 105 at n = 210: m = 15 and n/d = 2
+        with pytest.raises(BudgetExceededError) as err:
+            prob_divisor_general(105, 210, HALF)
+        assert err.value.required == 3 ** 15
         with pytest.raises(ValueError):
             prob_divisor_general(5, 12, HALF)
 
@@ -346,17 +388,17 @@ class TestReport:
 
     def test_table_skips_per_divisor_values(self, monkeypatch):
         calls = []
-        box = singexact.prob_divisor_general
+        engine = singexact.prob_divisor_general
 
-        def counting_box(*args, **kwargs):
+        def counting_engine(*args, **kwargs):
             calls.append(args)
-            return box(*args, **kwargs)
-        monkeypatch.setattr(singexact, "prob_divisor_general", counting_box)
+            return engine(*args, **kwargs)
+        monkeypatch.setattr(singexact, "prob_divisor_general", counting_engine)
         rows = asym.convergence_table(HALF, range(2, 17))
         assert calls == []
         assert [r.exact for r in rows] == [report(n, HALF).exact_union
                                            for n in range(2, 17)]
-        assert calls  # report itself goes through the box for d = 6, 10, ...
+        assert calls  # report itself goes through the engine for d = 6, 10, ...
 
     def test_signed_strategies(self):
         assert report(2, HALF, "signed").exact_union == 1
@@ -376,11 +418,12 @@ class TestReport:
             assert max(values) <= rep.exact_union <= sum(values)
 
     def test_budget_degradation(self):
-        rep = report(36, HALF, budgets=Budgets(enumeration=1000, bruteforce=1000))
+        rep = report(36, HALF, budgets=Budgets(enumeration=3, bruteforce=1000))
         assert rep.exact_union is None
         assert rep.provenance == "absent-over-budget"
         omitted = {d for d, _ in rep.omitted}
-        assert 36 in omitted  # needs 2^24 box candidates > 1000
+        assert 36 in omitted  # needs 2^2 image vectors > 3
+        assert omitted == {6, 12, 18, 36}  # 7^2, 4^2, 3^2 and 2^2 vectors
         assert {dp.d for dp in rep.per_divisor}.isdisjoint(omitted)
         assert set(rep.bounds) == {d for d in polycyc.divisors(36) if d > 1}
 
