@@ -11,8 +11,8 @@ from .polycyc import (FirstRow, IntPolynomial, cyclotomic, fold,
 from .singexact import (Budgets, DivisorProbability, LatticeBasis,
                         ProbabilityReport, divisor_probability, exact_union,
                         hnf_basis, prob_bounds, prob_divisor_general,
-                        prob_divisor_prime_power, prob_union_bruteforce,
-                        prob_union_closed_form, report, signed_intersection_1_2)
+                        prob_union_bruteforce, prob_union_closed_form, report,
+                        signed_intersection_1_2)
 
 __version__ = "0.1.0"
 
@@ -24,8 +24,7 @@ __all__ = [
     "binom_pdf_log", "convergence_table", "cyclotomic", "demoivre_approx",
     "divisor_probability", "exact_union", "fold", "hnf_basis",
     "power_sum_asymptotic", "power_sum_exact", "prob_bounds",
-    "prob_divisor_general",
-    "prob_divisor_prime_power", "prob_union_bruteforce",
+    "prob_divisor_general", "prob_union_bruteforce",
     "prob_union_closed_form", "reduce_mod_cyclotomic",
     "report", "sample_singularity", "signed_intersection_1_2",
     "singular_divisors",

@@ -9,8 +9,8 @@ from fractions import Fraction
 
 from .errors import BudgetExceededError
 
-#: Default cap on n*m term-power operations for exact power sums, and on
-#: the exponent n of an exact binomial maximum.
+#: Cap on n*m term-power operations for exact power sums, and on the
+#: exponent n of an exact binomial mass.
 POWER_SUM_BUDGET = 200_000
 
 
@@ -30,10 +30,18 @@ def _check_float_q(q) -> float:
 
 
 def binom_pdf_exact(k: int, n: int, q: Fraction) -> Fraction:
-    """Exact binomial mass q^k (1-q)^(n-k) C(n,k)."""
+    """Exact binomial mass q^k (1-q)^(n-k) C(n,k).
+
+    Refuses n above POWER_SUM_BUDGET: the exact mass has exponent n.
+    """
     _check_exact_q(q)
     if not 0 <= k <= n:
         raise ValueError(f"k={k} outside [0, {n}]")
+    if n > POWER_SUM_BUDGET:
+        raise BudgetExceededError(
+            f"binomial mass for n={n} needs exponent {n} "
+            f"(budget {POWER_SUM_BUDGET})",
+            required=n, budget=POWER_SUM_BUDGET)
     return math.comb(n, k) * q**k * (1 - q) ** (n - k)
 
 
@@ -63,16 +71,11 @@ class BinomialMax:
 def binom_max(n: int, q: Fraction) -> BinomialMax:
     """Maximum of the binomial mass, attained at floor((n+1)q).
 
-    Refuses n above POWER_SUM_BUDGET: the exact mass has exponent n.
+    Refuses n above POWER_SUM_BUDGET, as ``binom_pdf_exact`` does.
     """
     _check_exact_q(q)
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n > POWER_SUM_BUDGET:
-        raise BudgetExceededError(
-            f"binomial maximum for n={n} needs exponent {n} "
-            f"(budget {POWER_SUM_BUDGET})",
-            required=n, budget=POWER_SUM_BUDGET)
     t = (n + 1) * q
     if t.denominator == 1 and 1 <= t <= n:
         k, tied = int(t) - 1, True
@@ -90,22 +93,23 @@ def demoivre_approx(k: int, n: int, q: float) -> float:
     return math.exp(-((k - n * qf) ** 2) / (2 * var)) / math.sqrt(2 * math.pi * var)
 
 
-def power_sum_exact(n: int, m: int, q: Fraction,
-                    budget: int = POWER_SUM_BUDGET) -> Fraction:
+def power_sum_exact(n: int, m: int, q: Fraction) -> Fraction:
     """Exact sum over k of the m-th power of the binomial mass.
 
     Accumulates integer numerators over the common denominator
     denom(q)^(n*m), so no gcd work happens until the final reduction.
+    Refuses n*m above POWER_SUM_BUDGET.
     """
     _check_exact_q(q)
     if m < 1:
         raise ValueError("m must be at least 1")
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n * m > budget:
+    if n * m > POWER_SUM_BUDGET:
         raise BudgetExceededError(
-            f"power sum needs {n * m} term-power operations (budget {budget})",
-            required=n * m, budget=budget)
+            f"power sum needs {n * m} term-power operations "
+            f"(budget {POWER_SUM_BUDGET})",
+            required=n * m, budget=POWER_SUM_BUDGET)
     a, b = q.numerator, q.denominator
     c = b - a
     num = 0

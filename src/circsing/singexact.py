@@ -1,7 +1,8 @@
 """Exact singularity probabilities of random circulant Bernoulli matrices.
 
-Per-divisor probabilities come from binomial power-sum closed forms when the
-divisor is a prime power and from a CRT image sum over rad(d) otherwise.
+Every per-divisor probability for d >= 2 comes from one engine: a radical
+reduction, then the binomial power sum when d is a prime power, or else a
+CRT image sum over the exact convolution of the image law.
 Unions over all divisors use closed forms for n in {prime, prime^2,
 prime*prime'}, and an exhaustive weighted enumeration of all 2^n rows as the
 independent fallback and oracle.  Every value is an exact Fraction.
@@ -108,18 +109,6 @@ class ProbabilityReport:
     omitted: tuple[tuple[int, str], ...] = ()
 
 
-def prob_divisor_prime_power(p: int, m: int, n: int, q: Fraction) -> Fraction:
-    """Exact divisor probability for d = p^m dividing n."""
-    if not polycyc.is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if m < 1:
-        raise ValueError("exponent must be at least 1")
-    pm = p ** m
-    if n % pm:
-        raise ValueError(f"{pm} does not divide {n}")
-    return binomstats.power_sum_exact(n // pm, p, q) ** (p ** (m - 1))
-
-
 def prob_divisor_general(d: int, n: int, q: Fraction,
                          budget: int = ENUMERATION_BUDGET) -> Fraction:
     """Exact divisor probability for any d | n, d >= 2, by a CRT image sum.
@@ -129,8 +118,9 @@ def prob_divisor_general(d: int, n: int, q: Fraction,
     largest prime, Phi_k divides a row iff its p sub-rows of length m share
     one image s[r:] - s[:r] @ A in Z[x]/Phi_m (A the hnf_basis(m) tail; de
     Bruijn 1953), so P(k, n/e) = sum_v pi_m(v)^p for pi_m the image law under
-    iid Binomial(n/d, q) entries, the binomial power sum when m = 1.  Refuses
-    when the (n/d + 1)^m vectors exceed ``budget`` or could overflow int64.
+    iid Binomial(n/d, q) entries: the binomial power sum when m = 1, else the
+    convolution of the m coordinate laws, folded in one at a time.  Refuses
+    when the (n/d + 1)^m vectors of a sub-row exceed ``budget`` or 2^63.
     """
     if d < 2:
         raise ValueError("d must be at least 2")
@@ -143,40 +133,32 @@ def prob_divisor_general(d: int, n: int, q: Fraction,
     if m == 1:
         return binomstats.power_sum_exact(w, p, q) ** e
     required = (w + 1) ** m
-    if required > budget:
+    # Refuse 2^63 vectors or more at any budget: far past any run that ends.
+    limit = min(budget, 2 ** 63 - 1)
+    if required > limit:
         raise BudgetExceededError(
             f"CRT image sum for d={d}, n={n} needs {required} "
-            f"candidate vectors (budget {budget})",
-            required=required, budget=budget)
+            f"candidate vectors (budget {limit})",
+            required=required, budget=limit)
+    # Unit vector e_i maps to -A[i] for i < r and to e_(i-r) of Z^(m-r) after.
     basis = hnf_basis(m)
-    r, tail = basis.rank, np.array(basis.tail, dtype=np.int64)
-    if required >= 2 ** 63 or w * r * int(np.abs(tail).max()) >= 2 ** 62:
-        raise BudgetExceededError(
-            f"CRT image sum for d={d}, n={n} needs {required} "
-            f"candidate vectors, beyond the int64 range of the image product",
-            required=required, budget=budget)
-    # Numerators over b^w of the Binomial(w, a/b) masses.  A vector's mass
-    # depends only on its sorted values: group by (image, sorted values).
+    r = basis.rank
+    steps = [tuple(-x for x in row) for row in basis.tail]
+    steps += [tuple(int(j == i) for j in range(m - r)) for i in range(m - r)]
+    # Numerators over b^w of the Binomial(w, a/b) masses.
     a, b = q.numerator, q.denominator
     mass = [math.comb(w, k) * a**k * (b - a) ** (w - k) for k in range(w + 1)]
-    place = (w + 1) ** np.arange(m, dtype=np.int64)
-    group_mass: dict[tuple[int, ...], int] = {}
-    image_mass: dict[tuple[int, ...], int] = {}
-    chunk = 1 << 16
-    for start in range(0, required, chunk):
-        idx = np.arange(start, min(start + chunk, required), dtype=np.int64)
-        digits = idx[:, None] // place % (w + 1)
-        keys = np.hstack([digits[:, r:] - digits[:, :r] @ tail,
-                          np.sort(digits, axis=1)])
-        groups, counts = np.unique(keys, axis=0, return_counts=True)
-        for key, count in zip(groups.tolist(), counts.tolist()):
-            image, values = tuple(key[:m - r]), tuple(key[m - r:])
-            if values not in group_mass:
-                group_mass[values] = math.prod(mass[v] for v in values)
-            image_mass[image] = image_mass.get(image, 0) + count * group_mass[values]
+    law = {(0,) * (m - r): 1}
+    for step in steps:
+        folded: dict[tuple[int, ...], int] = {}
+        for image, num in law.items():
+            for k, mk in enumerate(mass):
+                key = tuple(v + k * c for v, c in zip(image, step))
+                folded[key] = folded.get(key, 0) + num * mk
+        law = folded
     log.debug("CRT image sum d=%d n=%d: kept %d of %d candidates",
-              d, n, len(image_mass), required)
-    total = sum(num ** p for num in image_mass.values())
+              d, n, len(law), required)
+    total = sum(num ** p for num in law.values())
     return Fraction(total, b ** (m * w * p)) ** e
 
 
@@ -308,20 +290,19 @@ def divisor_probability(d: int, n: int, q: Fraction, model: str = "binary",
     if d < 1 or n % d:
         raise ValueError(f"{d} does not divide {n}")
     binomstats._check_exact_q(q)
-    fac = polycyc.factorize(d)
     if d == 1:
         # The event is row weight 0 (binary) or n/2 (signed, none for odd n).
         value = Fraction(0)
         if model == "binary" or n % 2 == 0:
             value = binomstats.binom_pdf_exact(0 if model == "binary" else n // 2, n, q)
         method = "trivial-d1"
-    elif len(fac) == 1:
-        ((p, m),) = fac.items()
-        value = prob_divisor_prime_power(p, m, n, q)
-        method = "prime-closed-form" if m == 1 else "prime-power-closed-form"
     else:
         value = prob_divisor_general(d, n, q, budgets.enumeration)
-        method = "crt-image-sum"
+        fac = polycyc.factorize(d)
+        if len(fac) > 1:
+            method = "crt-image-sum"
+        else:
+            method = "prime-closed-form" if d in fac else "prime-power-closed-form"
     return DivisorProbability(d=d, n=n, q=q, value=value, method=method)
 
 

@@ -104,9 +104,9 @@ def check_divisor_engine() -> Check:
             fac = polycyc.factorize(d)
             if d < 2 or d > 16 or len(fac) != 1:
                 continue
-            ((p, m),) = fac.items()
+            (p,) = fac
             if (singexact.prob_divisor_general(d, n, HALF)
-                    != singexact.prob_divisor_prime_power(p, m, n, HALF)):
+                    != binomstats.power_sum_exact(n // d, p, HALF) ** (d // p)):
                 ok = False
     # every d >= 2 against the event weight counted row by row
     for n in range(2, 11):

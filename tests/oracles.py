@@ -6,8 +6,9 @@ fraction-free (Bareiss) Gaussian elimination.  The DFT eigenvalues are the
 floating-point cross-check of the exact singularity test, and the CRT coset
 sum is an independent route to two-prime divisor probabilities, box
 enumeration over the lattice basis is an independent route to every divisor
-probability, and the chunked decimal conversion checks output past the
-int-to-str digit limit.
+probability, enumeration of the CRT image vectors is a second route for
+every d with two or more primes, and the chunked decimal conversion checks
+output past the int-to-str digit limit.
 """
 from __future__ import annotations
 
@@ -186,6 +187,66 @@ def box_probability(d: int, n: int, q: Fraction,
     return sum((Fraction(coef) * q**wt * one_minus**(n - wt)
                 for wt, coef in sorted(coeff_by_weight.items())),
                start=Fraction(0))
+
+
+def crt_enumeration_probability(d: int, n: int, q: Fraction,
+                                budget: int = ENUMERATION_BUDGET) -> Fraction:
+    """Exact divisor probability for d | n whose radical has two or more
+    primes, by enumerating the CRT image vectors.
+
+    With k = rad d = p*m (p the largest prime) and e = d/k, walks the
+    (n/d + 1)^m vectors of a length-m sub-row in int64 chunks, keys each by
+    its image s[r:] - s[:r] @ A in Z[x]/Phi_m and its sorted values, groups
+    the keys with np.unique, and returns (sum_v pi_m(v)^p)^e.  Refuses with
+    BudgetExceededError when the vectors exceed ``budget`` or when the
+    image product could overflow int64.
+    """
+    if d < 2:
+        raise ValueError("d must be at least 2")
+    if n % d:
+        raise ValueError(f"{d} does not divide {n}")
+    _check_exact_q(q)
+    *rest, p = sorted(factorize(d))
+    m = math.prod(rest)
+    e, w = d // (p * m), n // d
+    if m == 1:
+        raise ValueError(f"{d} is a prime power")
+    required = (w + 1) ** m
+    if required > budget:
+        raise BudgetExceededError(
+            f"CRT image sum for d={d}, n={n} needs {required} "
+            f"candidate vectors (budget {budget})",
+            required=required, budget=budget)
+    basis = hnf_basis(m)
+    r, tail = basis.rank, np.array(basis.tail, dtype=np.int64)
+    if required >= 2 ** 63 or w * r * int(np.abs(tail).max()) >= 2 ** 62:
+        raise BudgetExceededError(
+            f"CRT image sum for d={d}, n={n} needs {required} "
+            f"candidate vectors, beyond the int64 range of the image product",
+            required=required, budget=budget)
+    # Numerators over b^w of the Binomial(w, a/b) masses.  A vector's mass
+    # depends only on its sorted values: group by (image, sorted values).
+    a, b = q.numerator, q.denominator
+    mass = [math.comb(w, k) * a**k * (b - a) ** (w - k) for k in range(w + 1)]
+    place = (w + 1) ** np.arange(m, dtype=np.int64)
+    group_mass: dict[tuple[int, ...], int] = {}
+    image_mass: dict[tuple[int, ...], int] = {}
+    chunk = 1 << 16
+    for start in range(0, required, chunk):
+        idx = np.arange(start, min(start + chunk, required), dtype=np.int64)
+        digits = idx[:, None] // place % (w + 1)
+        keys = np.hstack([digits[:, r:] - digits[:, :r] @ tail,
+                          np.sort(digits, axis=1)])
+        groups, counts = np.unique(keys, axis=0, return_counts=True)
+        for key, count in zip(groups.tolist(), counts.tolist()):
+            image, values = tuple(key[:m - r]), tuple(key[m - r:])
+            if values not in group_mass:
+                group_mass[values] = math.prod(mass[v] for v in values)
+            image_mass[image] = image_mass.get(image, 0) + count * group_mass[values]
+    log.debug("CRT image sum d=%d n=%d: kept %d of %d candidates",
+              d, n, len(image_mass), required)
+    total = sum(num ** p for num in image_mass.values())
+    return Fraction(total, b ** (m * w * p)) ** e
 
 
 def decimal_digits(x: int) -> str:

@@ -54,9 +54,9 @@ def test_criterion_4_divisor_formula_cross_agreement():
             fac = polycyc.factorize(d)
             if d < 2 or d > 16 or len(fac) != 1:
                 continue
-            ((p, m),) = fac.items()
+            (p,) = fac
             if (oracles.box_probability(d, n, HALF)
-                    != singexact.prob_divisor_prime_power(p, m, n, HALF)):
+                    != binomstats.power_sum_exact(n // d, p, HALF) ** (d // p)):
                 box_ok = False
     criterion(4, "divisor engine and box enumeration equal prime-power "
                  "closed forms (d <= 16, n <= 32); engine equals row-by-row "

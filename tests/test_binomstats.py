@@ -32,6 +32,13 @@ class TestPdfExact:
         with pytest.raises(ValueError):
             binom_pdf_exact(1, 4, 0.5)  # float q has no exact path
 
+    def test_exponent_budget(self, monkeypatch):
+        monkeypatch.setattr(binomstats, "POWER_SUM_BUDGET", 10)
+        assert binom_pdf_exact(0, 10, HALF) == Fraction(1, 1024)
+        with pytest.raises(BudgetExceededError, match="exponent") as err:
+            binom_pdf_exact(0, 11, HALF)
+        assert (err.value.required, err.value.budget) == (11, 10)
+
     @pytest.mark.parametrize("q", [HALF, THIRD, Fraction(2, 5)])
     def test_normalization(self, q):
         for n in list(range(1, 51)) + [100, 200]:
@@ -140,9 +147,17 @@ class TestPowerSumExact:
     def test_vandermonde(self, n):
         assert power_sum_exact(n, 2, HALF) == Fraction(math.comb(2 * n, n), 4**n)
 
-    def test_budget_error_names_budget(self):
+    def test_budget_error_names_budget(self, monkeypatch):
+        monkeypatch.setattr(binomstats, "POWER_SUM_BUDGET", 1000)
         with pytest.raises(BudgetExceededError, match="budget 1000"):
-            power_sum_exact(600, 2, HALF, budget=1000)
+            power_sum_exact(600, 2, HALF)
+
+    def test_budget_read_at_call_time(self, monkeypatch):
+        monkeypatch.setattr(binomstats, "POWER_SUM_BUDGET", 10)
+        assert power_sum_exact(10, 1, HALF) == 1
+        with pytest.raises(BudgetExceededError) as err:
+            power_sum_exact(11, 1, HALF)
+        assert (err.value.required, err.value.budget) == (11, 10)
 
 
 class TestPowerSumAsymptotic:

@@ -222,6 +222,13 @@ class TestBudgetsAndErrors:
         assert code == 3
         assert "exponent" in err
 
+    def test_d1_exponent_budget(self, capsys, monkeypatch):
+        monkeypatch.setattr(binomstats, "POWER_SUM_BUDGET", 10)
+        code, _, err = run_capture(capsys, ["divisor", "--n", "11", "--d", "1",
+                                            "--q", "1/3"])
+        assert code == 3
+        assert "exponent" in err
+
     def test_shards_above_samples(self, capsys):
         code, _, err = run_capture(
             capsys, ["mc", "--n", "4", "--q", "1/2", "--samples", "3",

@@ -1,4 +1,6 @@
+import logging
 import math
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -10,7 +12,6 @@ from circsing.errors import BudgetExceededError
 from circsing.polycyc import FirstRow, cyclotomic, singular_divisors
 from circsing.singexact import (Budgets, divisor_probability, exact_union,
                                 hnf_basis, prob_bounds, prob_divisor_general,
-                                prob_divisor_prime_power,
                                 prob_union_bruteforce, prob_union_closed_form,
                                 rational_json, report, report_json,
                                 signed_intersection_1_2, singular_mask)
@@ -27,37 +28,46 @@ def all_bit_rows(n):
 
 
 class TestPrimeDivisor:
-    """Prime d is the m = 1 case of the prime-power closed form."""
+    """Prime d is the e = 1 case of the engine's binomial power sum."""
 
     def test_examples(self):
-        assert prob_divisor_prime_power(2, 1, 4, HALF) == Fraction(3, 8)
-        assert prob_divisor_prime_power(3, 1, 6, HALF) == Fraction(5, 32)
-        assert prob_divisor_prime_power(3, 1, 3, THIRD) == THIRD
+        assert prob_divisor_general(2, 4, HALF) == Fraction(3, 8)
+        assert prob_divisor_general(3, 6, HALF) == Fraction(5, 32)
+        assert prob_divisor_general(3, 3, THIRD) == THIRD
 
     def test_event_count_matches(self):
         # 6 of the 16 binary rows of length 4 satisfy the d=2 event
         hits = sum(2 in singular_divisors(FirstRow(4, bits))
                    for bits in product((0, 1), repeat=4))
-        assert prob_divisor_prime_power(2, 1, 4, HALF) == Fraction(hits, 16)
+        assert prob_divisor_general(2, 4, HALF) == Fraction(hits, 16)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
-            prob_divisor_prime_power(4, 1, 8, HALF)
-        with pytest.raises(ValueError):
-            prob_divisor_prime_power(3, 1, 4, HALF)
+            prob_divisor_general(3, 4, HALF)
 
 
 class TestPrimePowerDivisor:
     def test_examples(self):
-        assert prob_divisor_prime_power(2, 2, 4, HALF) == Fraction(1, 4)
-        assert prob_divisor_prime_power(2, 1, 4, HALF) == Fraction(3, 8)
-        assert prob_divisor_prime_power(2, 2, 8, HALF) == Fraction(9, 64)
+        assert prob_divisor_general(4, 4, HALF) == Fraction(1, 4)
+        assert prob_divisor_general(2, 4, HALF) == Fraction(3, 8)
+        assert prob_divisor_general(4, 8, HALF) == Fraction(9, 64)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
-            prob_divisor_prime_power(2, 3, 4, HALF)
-        with pytest.raises(ValueError):
-            prob_divisor_prime_power(6, 1, 6, HALF)
+            prob_divisor_general(8, 4, HALF)
+
+
+class TestTrivialDivisor:
+    def test_exponent_budget(self, monkeypatch):
+        # the d = 1 mass has exponent n, capped like every other exact power
+        monkeypatch.setattr(binomstats, "POWER_SUM_BUDGET", 10)
+        assert divisor_probability(1, 10, HALF).value == Fraction(1, 1024)
+        assert (divisor_probability(1, 10, HALF, "signed").value
+                == Fraction(252, 1024))
+        with pytest.raises(BudgetExceededError):
+            divisor_probability(1, 11, HALF)
+        with pytest.raises(BudgetExceededError):
+            divisor_probability(1, 12, HALF, "signed")
 
 
 class TestHnfBasis:
@@ -119,9 +129,9 @@ class TestGeneralDivisor:
                 fac = polycyc.factorize(d)
                 if d < 2 or len(fac) != 1:
                     continue
-                ((p, m),) = fac.items()
+                (p,) = fac
                 assert (prob_divisor_general(d, n, q)
-                        == prob_divisor_prime_power(p, m, n, q))
+                        == binomstats.power_sum_exact(n // d, p, q) ** (d // p))
 
     def test_matches_two_prime_coset_sum(self):
         for q in (HALF, THIRD):
@@ -141,6 +151,26 @@ class TestGeneralDivisor:
             for d in polycyc.divisors(n)[1:]:
                 assert (prob_divisor_general(d, n, q)
                         == oracles.box_probability(d, n, q)), (d, n, q)
+
+    def test_matches_crt_enumeration_oracle(self, caplog):
+        # the only code-independent check for d with three primes and
+        # n/d >= 2: the box reaches n <= 30, the coset sum two primes only
+        def kept(logger):
+            return [int(re.search(r"kept (\d+) of", rec.getMessage())[1])
+                    for rec in caplog.records if rec.name == logger]
+
+        cases = [(d, n) for n in range(2, 121) for d in polycyc.divisors(n)
+                 if len(polycyc.factorize(d)) > 1]
+        cases += [(6, 600), (10, 2000), (35, 350)]
+        for q in (HALF, THIRD):
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG):
+                for d, n in cases:
+                    assert (prob_divisor_general(d, n, q)
+                            == oracles.crt_enumeration_probability(d, n, q)), (d, n, q)
+            engine_kept = kept("circsing.singexact")
+            assert len(engine_kept) == len(cases)
+            assert engine_kept == kept("oracles")
 
     @pytest.mark.parametrize("model", ["binary", "signed"])
     @pytest.mark.parametrize("q", [HALF, THIRD])
@@ -196,7 +226,7 @@ class TestBounds:
     def test_examples(self):
         lo, up = prob_bounds(2, 4, HALF)
         assert (lo, up) == (Fraction(1, 4), Fraction(1, 2))
-        assert lo <= prob_divisor_prime_power(2, 1, 4, HALF) <= up
+        assert lo <= prob_divisor_general(2, 4, HALF) <= up
         assert prob_bounds(4, 4, HALF) == (None, Fraction(1, 4))
         assert prob_bounds(3, 9, HALF) == (Fraction(27, 512), Fraction(9, 64))
 
@@ -416,6 +446,14 @@ class TestReport:
             assert rep.exact_union is not None
             values = [dp.value for dp in rep.per_divisor]
             assert max(values) <= rep.exact_union <= sum(values)
+
+    def test_d1_omitted_over_exponent_budget(self, monkeypatch):
+        # n = 12, not the prime 11: the closed-form union refuses prime n
+        # above the budget before the per-divisor loop runs
+        monkeypatch.setattr(binomstats, "POWER_SUM_BUDGET", 10)
+        rep = report(12, HALF)
+        assert 1 in {d for d, _ in rep.omitted}
+        assert 1 not in {dp.d for dp in rep.per_divisor}
 
     def test_budget_degradation(self):
         rep = report(36, HALF, budgets=Budgets(enumeration=3, bruteforce=1000))
