@@ -3,7 +3,6 @@ the distribution maximum, and power sums with their large-n approximations.
 """
 from __future__ import annotations
 
-import dataclasses
 import math
 from fractions import Fraction
 
@@ -29,6 +28,14 @@ def _check_float_q(q) -> float:
     return qf
 
 
+def check_exponent(exponent: int, need: str) -> None:
+    """Refuse an exact power whose exponent exceeds POWER_SUM_BUDGET, read at
+    call time; ``need`` says what needs it, for the error message."""
+    if exponent > POWER_SUM_BUDGET:
+        raise BudgetExceededError(f"{need} (budget {POWER_SUM_BUDGET})",
+                                  required=exponent, budget=POWER_SUM_BUDGET)
+
+
 def binom_pdf_exact(k: int, n: int, q: Fraction) -> Fraction:
     """Exact binomial mass q^k (1-q)^(n-k) C(n,k).
 
@@ -37,11 +44,7 @@ def binom_pdf_exact(k: int, n: int, q: Fraction) -> Fraction:
     _check_exact_q(q)
     if not 0 <= k <= n:
         raise ValueError(f"k={k} outside [0, {n}]")
-    if n > POWER_SUM_BUDGET:
-        raise BudgetExceededError(
-            f"binomial mass for n={n} needs exponent {n} "
-            f"(budget {POWER_SUM_BUDGET})",
-            required=n, budget=POWER_SUM_BUDGET)
+    check_exponent(n, f"binomial mass for n={n} needs exponent {n}")
     return math.comb(n, k) * q**k * (1 - q) ** (n - k)
 
 
@@ -54,34 +57,13 @@ def binom_pdf_log(k: int, n: int, q: float) -> float:
             + k * math.log(qf) + (n - k) * math.log1p(-qf))
 
 
-@dataclasses.dataclass(frozen=True)
-class BinomialMax:
-    """Location and exact value of max_k of the binomial mass.
-
-    ``tied`` is True exactly when (n+1)q is an integer in [1, n]; the two
-    equal maxima then sit at argmax_k and argmax_k + 1, and the lower
-    index is reported.
-    """
-
-    argmax_k: int
-    value: Fraction
-    tied: bool
-
-
-def binom_max(n: int, q: Fraction) -> BinomialMax:
-    """Maximum of the binomial mass, attained at floor((n+1)q).
+def binom_max(n: int, q: Fraction) -> Fraction:
+    """Maximum over k of the binomial mass, attained at k = floor((n+1)q);
+    when (n+1)q is an integer the mass at k - 1 ties with it.
 
     Refuses n above POWER_SUM_BUDGET, as ``binom_pdf_exact`` does.
     """
-    _check_exact_q(q)
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    t = (n + 1) * q
-    if t.denominator == 1 and 1 <= t <= n:
-        k, tied = int(t) - 1, True
-    else:
-        k, tied = min(n, math.floor(t)), False
-    return BinomialMax(argmax_k=k, value=binom_pdf_exact(k, n, q), tied=tied)
+    return binom_pdf_exact(math.floor((n + 1) * _check_exact_q(q)), n, q)
 
 
 def demoivre_approx(k: int, n: int, q: float) -> float:
@@ -105,11 +87,7 @@ def power_sum_exact(n: int, m: int, q: Fraction) -> Fraction:
         raise ValueError("m must be at least 1")
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n * m > POWER_SUM_BUDGET:
-        raise BudgetExceededError(
-            f"power sum needs {n * m} term-power operations "
-            f"(budget {POWER_SUM_BUDGET})",
-            required=n * m, budget=POWER_SUM_BUDGET)
+    check_exponent(n * m, f"power sum needs {n * m} term-power operations")
     a, b = q.numerator, q.denominator
     c = b - a
     num = 0

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
+import decimal
 import io
 import json
 import os
@@ -74,7 +76,9 @@ def _budgets_from(args) -> singexact.Budgets:
     return singexact.Budgets(enumeration=enum_budget, bruteforce=brute_budget)
 
 
-def _emit(text: str, path: str | None) -> None:
+def _emit(out, path: str | None) -> None:
+    """Write CSV text as it is, anything else as indented JSON."""
+    text = out if isinstance(out, str) else json.dumps(out, indent=2)
     if path is None or path == "-":
         sys.stdout.write(text)
         if not text.endswith("\n"):
@@ -84,11 +88,38 @@ def _emit(text: str, path: str | None) -> None:
             handle.write(text)
 
 
+def digits(x: int) -> str:
+    """Decimal digits of x past the interpreter's int-to-str digit limit;
+    Decimal ignores that limit, so the process-wide setting stays as it is."""
+    return str(decimal.Decimal(x))
+
+
+def to_json(x):
+    """JSON form of a result: a Fraction as num/den digit strings plus a
+    decimal view, a dataclass as its fields in declaration order, a list or
+    tuple as a list, anything else as it is."""
+    if isinstance(x, Fraction):
+        return {"num": digits(x.numerator), "den": digits(x.denominator),
+                "decimal": f"{float(x):.15g}"}
+    if dataclasses.is_dataclass(x):
+        return {f.name: to_json(getattr(x, f.name)) for f in dataclasses.fields(x)}
+    if isinstance(x, (list, tuple)):
+        return [to_json(v) for v in x]
+    return x
+
+
+def bounds_json(bounds: dict[int, tuple[Fraction | None, Fraction]]) -> list[dict]:
+    return [{"d": d, "lower": to_json(lower), "upper": to_json(upper)}
+            for d, (lower, upper) in sorted(bounds.items())]
+
+
 def _cmd_exact(args) -> int:
     q = require_rational(parse_q(args.q), "exact")
     model = "signed" if args.signed else "binary"
     rep = singexact.report(args.n, q, model, _budgets_from(args))
-    _emit(json.dumps(singexact.report_json(rep), indent=2), args.output)
+    _emit({**to_json(rep), "bounds": bounds_json(rep.bounds),
+           "omitted": [{"d": d, "reason": why} for d, why in rep.omitted]},
+          args.output)
     return 0
 
 
@@ -96,7 +127,7 @@ def _cmd_divisor(args) -> int:
     q = require_rational(parse_q(args.q), "divisor")
     model = "signed" if args.signed else "binary"
     dp = singexact.divisor_probability(args.d, args.n, q, model, _budgets_from(args))
-    _emit(json.dumps(singexact.divisor_probability_json(dp), indent=2), args.output)
+    _emit(to_json(dp), args.output)
     return 0
 
 
@@ -104,14 +135,8 @@ def _cmd_bounds(args) -> int:
     q = require_rational(parse_q(args.q), "bounds")
     ds = [args.d] if args.d is not None else [
         d for d in polycyc.divisors(args.n) if d >= 2]
-    rows = []
-    for d in ds:
-        lower, upper = singexact.prob_bounds(d, args.n, q)
-        rows.append({"d": d,
-                     "lower": None if lower is None else singexact.rational_json(lower),
-                     "upper": singexact.rational_json(upper)})
-    payload = {"n": args.n, "q": singexact.rational_json(q), "bounds": rows}
-    _emit(json.dumps(payload, indent=2), args.output)
+    bounds = {d: singexact.prob_bounds(d, args.n, q) for d in ds}
+    _emit({"n": args.n, "q": to_json(q), "bounds": bounds_json(bounds)}, args.output)
     return 0
 
 
@@ -123,9 +148,7 @@ def _cmd_asym(args) -> int:
         value = asym.approx_closed(args.n, q)
     else:
         value = asym.approx_main(args.n, q)
-    payload = {"n": value.n, "q": value.q, "model": value.model,
-               "value": value.value, "formula": value.formula}
-    _emit(json.dumps(payload, indent=2), args.output)
+    _emit(to_json(value), args.output)
     return 0
 
 
@@ -140,8 +163,8 @@ def table_to_csv(rows: list[asym.ConvergenceRow]) -> str:
     for row in rows:
         writer.writerow([
             row.n,
-            "" if row.exact is None else singexact.int_str(row.exact.numerator),
-            "" if row.exact is None else singexact.int_str(row.exact.denominator),
+            "" if row.exact is None else digits(row.exact.numerator),
+            "" if row.exact is None else digits(row.exact.denominator),
             "" if row.exact is None else f"{float(row.exact):.15g}",
             repr(row.approx),
             "" if row.ratio is None else repr(row.ratio),
@@ -150,23 +173,13 @@ def table_to_csv(rows: list[asym.ConvergenceRow]) -> str:
     return buf.getvalue()
 
 
-def table_to_json(rows: list[asym.ConvergenceRow]) -> str:
-    return json.dumps([
-        {"n": row.n,
-         "exact": None if row.exact is None else singexact.rational_json(row.exact),
-         "approx": row.approx,
-         "ratio": row.ratio,
-         "formula": row.formula}
-        for row in rows], indent=2)
-
-
 def _cmd_table(args) -> int:
     q = require_rational(parse_q(args.q), "table")
     model = "signed" if args.signed else "binary"
     rows = asym.convergence_table(q, parse_n_range(args.n_range), model,
                                   _budgets_from(args))
-    text = table_to_json(rows) if args.format == "json" else table_to_csv(rows)
-    _emit(text, args.output)
+    _emit(to_json(rows) if args.format == "json" else table_to_csv(rows),
+          args.output)
     return 0
 
 
@@ -178,10 +191,12 @@ def _cmd_mc(args) -> int:
             f"{args.samples} samples exceed the cap {cap}",
             required=args.samples, budget=cap)
     model = "signed" if args.signed else "binary"
-    est = mcsim.sample_singularity(
-        args.n, q, args.samples, args.seed, model, args.shards,
-        q_source=args.q if isinstance(q, Fraction) else None)
-    _emit(json.dumps(est.to_json_dict(), indent=2), args.output)
+    est = mcsim.sample_singularity(args.n, q, args.samples, args.seed, model,
+                                   args.shards)
+    payload = to_json(est)
+    if isinstance(q, Fraction):
+        payload["q_source"] = args.q
+    _emit(payload, args.output)
     return 0
 
 

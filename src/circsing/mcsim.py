@@ -37,24 +37,7 @@ class EstimateWithCI:
     n: int
     q: float
     shards: int = 1
-    q_source: str | None = None  # original spelling when q was given as a rational
-
-    def to_json_dict(self) -> dict:
-        out = {
-            "p_hat": self.p_hat,
-            "stderr": self.stderr,
-            "samples": self.samples,
-            "singular_count": self.singular_count,
-            "seed": self.seed,
-            "model": self.model,
-            "n": self.n,
-            "q": self.q,
-            "shards": self.shards,
-            "generator": GENERATOR,
-        }
-        if self.q_source is not None:
-            out["q_source"] = self.q_source
-        return out
+    generator: str = GENERATOR
 
 
 def _sample_bits(seed: int, n: int, start: int, count: int, q: float) -> np.ndarray:
@@ -74,8 +57,7 @@ def shard_sizes(samples: int, shards: int) -> list[int]:
 
 
 def sample_singularity(n: int, q, samples: int, seed: int,
-                       model: str = "binary", shards: int = 1,
-                       q_source: str | None = None) -> EstimateWithCI:
+                       model: str = "binary", shards: int = 1) -> EstimateWithCI:
     """Estimate the singularity probability from `samples` i.i.d. rows.
 
     Every sampled row is tested exactly (fold plus lattice membership per
@@ -111,4 +93,4 @@ def sample_singularity(n: int, q, samples: int, seed: int,
     stderr = math.sqrt(p_hat * (1 - p_hat) / samples)
     return EstimateWithCI(p_hat=p_hat, stderr=stderr, samples=samples,
                           singular_count=count, seed=seed, model=model,
-                          n=n, q=qf, shards=shards, q_source=q_source)
+                          n=n, q=qf, shards=shards)

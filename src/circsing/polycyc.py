@@ -179,9 +179,9 @@ class FirstRow:
 def cyclotomic(d: int) -> IntPolynomial:
     """The d-th cyclotomic polynomial, exact.
 
-    Built from x - 1 with the prime-power closed form and the
-    substitution/division recursion on the squarefree kernel; every
-    division is an exact monic integer division.
+    Built from x - 1 by the substitution/division recursion on the
+    squarefree kernel, then stretched by d / rad d; every division is an
+    exact monic integer division.
 
     >>> cyclotomic(6).coeffs
     (1, -1, 1)
@@ -191,13 +191,6 @@ def cyclotomic(d: int) -> IntPolynomial:
     if d == 1:
         return IntPolynomial((-1, 1))
     fac = factorize(d)
-    if len(fac) == 1:
-        ((p, k),) = fac.items()
-        step = p ** (k - 1)
-        coeffs = [0] * ((p - 1) * step + 1)
-        for i in range(p):
-            coeffs[i * step] = 1
-        return IntPolynomial(coeffs)
     poly = IntPolynomial((-1, 1))
     for p in sorted(fac):
         quot, rem = poly.stretch(p).divmod_monic(poly)

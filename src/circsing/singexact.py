@@ -10,7 +10,6 @@ independent fallback and oracle.  Every value is an exact Fraction.
 from __future__ import annotations
 
 import dataclasses
-import decimal
 import functools
 import logging
 import math
@@ -46,28 +45,15 @@ def _check_model(model: str) -> str:
     return model
 
 
-@dataclasses.dataclass(frozen=True)
-class LatticeBasis:
-    """Row basis (I | A) of the divisibility lattice for modulus d.
-
-    The rows span, over the integers, the same lattice as the coefficient
-    vectors of x^j * Phi_d(x) for j = 0 .. rank-1 inside Z^d.  A length-d
-    integer vector s lies in the lattice iff s[rank:] == s[:rank] @ A.
-    """
-
-    d: int
-    rank: int
-    rows: tuple[tuple[int, ...], ...]
-
-    @property
-    def tail(self) -> tuple[tuple[int, ...], ...]:
-        """The A block: rank rows of length d - rank."""
-        return tuple(row[self.rank:] for row in self.rows)
-
-
 @functools.lru_cache(maxsize=None)
-def hnf_basis(d: int) -> LatticeBasis:
-    """Hermite-normal-form basis of the divisibility lattice for d >= 2."""
+def hnf_basis(d: int) -> tuple[tuple[int, ...], ...]:
+    """The A block of the Hermite-normal-form basis (I | A) of the
+    divisibility lattice for d >= 2: rank = d - phi(d) rows of length phi(d).
+
+    The rows (I | A) span, over the integers, the same lattice as the
+    coefficient vectors of x^j * Phi_d(x) for j = 0 .. rank-1 inside Z^d.  A
+    length-d integer vector s lies in the lattice iff s[rank:] == s[:rank] @ A.
+    """
     if d < 2:
         raise ValueError("d must be at least 2")
     phi = polycyc.cyclotomic(d).coeffs
@@ -81,7 +67,7 @@ def hnf_basis(d: int) -> LatticeBasis:
             f = rows[i][j]
             if f:
                 rows[i] = [a - f * b for a, b in zip(rows[i], rows[j])]
-    return LatticeBasis(d=d, rank=rank, rows=tuple(tuple(r) for r in rows))
+    return tuple(tuple(row[rank:]) for row in rows)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -116,11 +102,12 @@ def prob_divisor_general(d: int, n: int, q: Fraction,
     Phi_d(x) = Phi_k(x^e) for k = rad d and e = d/k, so P(d, n) = P(k, n/e)^e
     over the e independent sub-rows s[j::e] of the fold.  For k = p*m, p the
     largest prime, Phi_k divides a row iff its p sub-rows of length m share
-    one image s[r:] - s[:r] @ A in Z[x]/Phi_m (A the hnf_basis(m) tail; de
+    one image s[r:] - s[:r] @ A in Z[x]/Phi_m (A = hnf_basis(m); de
     Bruijn 1953), so P(k, n/e) = sum_v pi_m(v)^p for pi_m the image law under
     iid Binomial(n/d, q) entries: the binomial power sum when m = 1, else the
     convolution of the m coordinate laws, folded in one at a time.  Refuses
-    when the (n/d + 1)^m vectors of a sub-row exceed ``budget`` or 2^63.
+    when the (n/d + 1)^m vectors of a sub-row exceed ``budget`` or 2^63, and
+    when the exponent m*(n/d)*p exceeds ``binomstats.POWER_SUM_BUDGET``.
     """
     if d < 2:
         raise ValueError("d must be at least 2")
@@ -140,10 +127,12 @@ def prob_divisor_general(d: int, n: int, q: Fraction,
             f"CRT image sum for d={d}, n={n} needs {required} "
             f"candidate vectors (budget {limit})",
             required=required, budget=limit)
+    binomstats.check_exponent(
+        m * w * p, f"CRT image sum for d={d}, n={n} needs exponent {m * w * p}")
     # Unit vector e_i maps to -A[i] for i < r and to e_(i-r) of Z^(m-r) after.
-    basis = hnf_basis(m)
-    r = basis.rank
-    steps = [tuple(-x for x in row) for row in basis.tail]
+    tail = hnf_basis(m)
+    r = len(tail)
+    steps = [tuple(-x for x in row) for row in tail]
     steps += [tuple(int(j == i) for j in range(m - r)) for i in range(m - r)]
     # Numerators over b^w of the Binomial(w, a/b) masses.
     a, b = q.numerator, q.denominator
@@ -168,7 +157,7 @@ def prob_bounds(d: int, n: int, q: Fraction) -> tuple[Fraction | None, Fraction]
         raise ValueError("d must be at least 2")
     if n % d:
         raise ValueError(f"{d} does not divide {n}")
-    mx = binomstats.binom_max(n // d, q).value
+    mx = binomstats.binom_max(n // d, q)
     upper = mx ** polycyc.totient(d)
     lower = mx ** d if polycyc.is_prime(d) else None
     return lower, upper
@@ -186,11 +175,7 @@ def prob_union_closed_form(n: int, q: Fraction) -> Fraction | None:
     shape = sorted(fac.values())
     if shape not in ([1], [2], [1, 1]):
         return None
-    budget = binomstats.POWER_SUM_BUDGET
-    if n > budget:
-        raise BudgetExceededError(
-            f"closed-form union for n={n} needs exponent {n} (budget {budget})",
-            required=n, budget=budget)
+    binomstats.check_exponent(n, f"closed-form union for n={n} needs exponent {n}")
     if shape == [1]:
         return q**n + (1 - q) ** n
     if shape == [2]:
@@ -222,9 +207,8 @@ def singular_mask(bits: np.ndarray, model: str = "binary") -> np.ndarray:
         if mask.all():
             break
         folded = bits.reshape(m, n // d, d).sum(axis=1, dtype=np.int32)
-        basis = hnf_basis(d)
-        r = basis.rank
-        a = np.array(basis.tail, dtype=np.int32)
+        a = np.array(hnf_basis(d), dtype=np.int32)
+        r = len(a)
         mask |= (folded[:, r:] == folded[:, :r] @ a).all(axis=1)
     return mask
 
@@ -351,38 +335,3 @@ def report(n: int, q: Fraction, model: str = "binary",
     return ProbabilityReport(n=n, q=q, model=model, exact_union=union,
                              per_divisor=tuple(per), bounds=bounds,
                              provenance=provenance, omitted=tuple(omitted))
-
-
-def int_str(x: int) -> str:
-    """Decimal digits of x past the interpreter's int-to-str digit limit;
-    Decimal ignores that limit, so the process-wide setting stays as it is."""
-    return str(decimal.Decimal(x))
-
-
-def rational_json(x: Fraction) -> dict[str, str]:
-    """JSON form of an exact rational: num/den strings plus a decimal view."""
-    return {"num": int_str(x.numerator), "den": int_str(x.denominator),
-            "decimal": f"{float(x):.15g}"}
-
-
-def divisor_probability_json(dp: DivisorProbability) -> dict:
-    return {"d": dp.d, "n": dp.n, "q": rational_json(dp.q),
-            "value": rational_json(dp.value), "method": dp.method}
-
-
-def report_json(rep: ProbabilityReport) -> dict:
-    return {
-        "n": rep.n,
-        "q": rational_json(rep.q),
-        "model": rep.model,
-        "exact_union": None if rep.exact_union is None else rational_json(rep.exact_union),
-        "per_divisor": [divisor_probability_json(dp) for dp in rep.per_divisor],
-        "bounds": [
-            {"d": d,
-             "lower": None if lo is None else rational_json(lo),
-             "upper": rational_json(up)}
-            for d, (lo, up) in sorted(rep.bounds.items())
-        ],
-        "provenance": rep.provenance,
-        "omitted": [{"d": d, "reason": reason} for d, reason in rep.omitted],
-    }

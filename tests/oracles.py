@@ -146,15 +146,14 @@ def box_probability(d: int, n: int, q: Fraction,
         raise ValueError(f"{d} does not divide {n}")
     _check_exact_q(q)
     w = n // d
-    basis = hnf_basis(d)
-    r = basis.rank
+    tail = np.array(hnf_basis(d), dtype=np.int64)
+    r = len(tail)
     required = (w + 1) ** r
     if required > budget:
         raise BudgetExceededError(
             f"lattice enumeration for d={d}, n={n} needs {required} "
             f"candidate vectors (budget {budget})",
             required=required, budget=budget)
-    tail = np.array(basis.tail, dtype=np.int64)
     max_tail = int(np.abs(tail).max(initial=0))
     if required >= 2 ** 63 or w * r * max_tail >= 2 ** 62:
         raise BudgetExceededError(
@@ -217,8 +216,8 @@ def crt_enumeration_probability(d: int, n: int, q: Fraction,
             f"CRT image sum for d={d}, n={n} needs {required} "
             f"candidate vectors (budget {budget})",
             required=required, budget=budget)
-    basis = hnf_basis(m)
-    r, tail = basis.rank, np.array(basis.tail, dtype=np.int64)
+    tail = np.array(hnf_basis(m), dtype=np.int64)
+    r = len(tail)
     if required >= 2 ** 63 or w * r * int(np.abs(tail).max()) >= 2 ** 62:
         raise BudgetExceededError(
             f"CRT image sum for d={d}, n={n} needs {required} "

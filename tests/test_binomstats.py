@@ -66,12 +66,9 @@ class TestPdfLog:
 
 class TestBinomMax:
     def test_examples(self):
-        m = binom_max(4, HALF)
-        assert (m.argmax_k, m.value, m.tied) == (2, Fraction(3, 8), False)
-        m = binom_max(2, THIRD)
-        assert (m.argmax_k, m.value, m.tied) == (0, Fraction(4, 9), True)
-        m = binom_max(1, HALF)
-        assert (m.argmax_k, m.value, m.tied) == (0, HALF, True)
+        assert binom_max(4, HALF) == Fraction(3, 8)
+        assert binom_max(2, THIRD) == Fraction(4, 9)
+        assert binom_max(1, HALF) == HALF
 
     def test_rejects_bad_q(self):
         with pytest.raises(ValueError):
@@ -79,7 +76,7 @@ class TestBinomMax:
 
     def test_exponent_budget(self, monkeypatch):
         monkeypatch.setattr(binomstats, "POWER_SUM_BUDGET", 10)
-        assert binom_max(10, HALF).value == Fraction(63, 256)
+        assert binom_max(10, HALF) == Fraction(63, 256)
         with pytest.raises(BudgetExceededError) as err:
             binom_max(11, HALF)
         assert (err.value.required, err.value.budget) == (11, 10)
@@ -87,21 +84,17 @@ class TestBinomMax:
     @pytest.mark.parametrize("q", [HALF, THIRD, Fraction(2, 5), Fraction(3, 4)])
     def test_against_scan(self, q):
         for n in range(41):
-            m = binom_max(n, q)
-            k_scan, v_scan = oracles.max_pdf_by_scan(n, q)
-            assert m.value == v_scan
-            assert m.argmax_k == k_scan
-            tied_scan = (n + 1) * q
-            assert m.tied == (tied_scan.denominator == 1 and 1 <= tied_scan <= n)
-            if m.tied:
-                assert binom_pdf_exact(m.argmax_k + 1, n, q) == m.value
+            assert binom_max(n, q) == oracles.max_pdf_by_scan(n, q)[1]
+            t = (n + 1) * q
+            if t.denominator == 1:  # the masses at t - 1 and t tie
+                assert binom_pdf_exact(int(t) - 1, n, q) == binom_max(n, q)
 
     @pytest.mark.parametrize("q", [HALF, THIRD])
     def test_scaled_max_near_one(self, q):
         # M(q,n) * sqrt(2 pi n q (1-q)) drifts into [0.9, 1.1], tightening
         prev = None
         for n in (100, 1000, 10000):
-            scaled = float(binom_max(n, q).value) * math.sqrt(
+            scaled = float(binom_max(n, q)) * math.sqrt(
                 2 * math.pi * n * float(q) * (1 - float(q)))
             assert 0.9 <= scaled <= 1.1
             if prev is not None:

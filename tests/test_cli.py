@@ -216,6 +216,13 @@ class TestBudgetsAndErrors:
         assert code == 3
         assert str(3 ** 15) in err
 
+    def test_engine_exponent_budget(self, capsys):
+        # d = 2 * 200003: two image vectors, but masses over 3^(2 * 200003)
+        code, out, err = run_capture(
+            capsys, ["divisor", "--n", "400006", "--d", "400006", "--q", "1/3"])
+        assert code == 3 and out == ""
+        assert "exponent 400006" in err and "budget 200000" in err
+
     def test_bounds_exponent_budget(self, capsys, monkeypatch):
         monkeypatch.setattr(binomstats, "POWER_SUM_BUDGET", 10)
         code, _, err = run_capture(capsys, ["bounds", "--n", "22", "--q", "1/3"])
@@ -248,6 +255,42 @@ class TestBudgetsAndErrors:
 
     def test_help_exits_zero(self, capsys):
         assert cli.run(["--help"]) == 0
+
+
+def test_json_key_order(capsys):
+    # json.loads comparisons cannot see key order; the output schema fixes it
+    def keys(argv):
+        code, out, _ = run_capture(capsys, argv)
+        assert code == 0
+        return json.loads(out)
+
+    rational = ["num", "den", "decimal"]
+    entry = ["d", "n", "q", "value", "method"]
+    data = keys(["exact", "--n", "36", "--q", "1/2",
+                 "--enum-budget", "3", "--brute-budget", "1000"])
+    assert list(data) == ["n", "q", "model", "exact_union", "per_divisor",
+                          "bounds", "provenance", "omitted"]
+    assert list(data["q"]) == rational
+    assert list(data["per_divisor"][0]) == entry
+    assert list(data["bounds"][0]) == ["d", "lower", "upper"]
+    assert list(data["bounds"][0]["upper"]) == rational
+    assert list(data["omitted"][0]) == ["d", "reason"]
+    data = keys(["divisor", "--n", "6", "--d", "3", "--q", "1/2"])
+    assert list(data) == entry
+    assert list(data["value"]) == rational
+    data = keys(["bounds", "--n", "6", "--q", "1/2"])
+    assert list(data) == ["n", "q", "bounds"]
+    assert list(data["bounds"][0]) == ["d", "lower", "upper"]
+    assert list(keys(["asym", "--n", "30", "--q", "1/2"])) == [
+        "n", "q", "model", "value", "formula"]
+    for row in keys(["table", "--n-range", "4:6", "--q", "1/2",
+                     "--format", "json"]):
+        assert list(row) == ["n", "exact", "approx", "ratio", "formula"]
+    mc = ["p_hat", "stderr", "samples", "singular_count", "seed", "model",
+          "n", "q", "shards", "generator"]
+    argv = ["mc", "--n", "4", "--samples", "100", "--q"]
+    assert list(keys(argv + ["0.5"])) == mc
+    assert list(keys(argv + ["1/2"])) == mc + ["q_source"]
 
 
 class TestVerifyCommand:

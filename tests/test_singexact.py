@@ -7,13 +7,13 @@ from itertools import product
 import numpy as np
 import pytest
 
-from circsing import asym, binomstats, polycyc, singexact
+from circsing import asym, binomstats, cli, polycyc, singexact
 from circsing.errors import BudgetExceededError
 from circsing.polycyc import FirstRow, cyclotomic, singular_divisors
 from circsing.singexact import (Budgets, divisor_probability, exact_union,
                                 hnf_basis, prob_bounds, prob_divisor_general,
                                 prob_union_bruteforce, prob_union_closed_form,
-                                rational_json, report, report_json,
+                                report,
                                 signed_intersection_1_2, singular_mask)
 
 import oracles
@@ -70,20 +70,27 @@ class TestTrivialDivisor:
             divisor_probability(1, 12, HALF, "signed")
 
 
+def basis_rows(d):
+    """The rows (I | A) of the lattice basis whose A block hnf_basis(d) is."""
+    tail = hnf_basis(d)
+    return tuple(tuple(int(j == i) for j in range(len(tail))) + row
+                 for i, row in enumerate(tail))
+
+
 class TestHnfBasis:
     def test_examples(self):
-        assert hnf_basis(2).rows == ((1, 1),)
-        assert hnf_basis(4).rows == ((1, 0, 1, 0), (0, 1, 0, 1))
+        assert basis_rows(2) == ((1, 1),)
+        assert basis_rows(4) == ((1, 0, 1, 0), (0, 1, 0, 1))
         for p in (3, 5, 7):
-            assert hnf_basis(p).rows == ((1,) * p,)
+            assert basis_rows(p) == ((1,) * p,)
 
     @pytest.mark.parametrize("d", range(2, 41))
     def test_structure(self, d):
-        basis = hnf_basis(d)
+        tail = hnf_basis(d)
         rank = d - polycyc.totient(d)
-        assert basis.rank == rank == len(basis.rows)
-        for i, row in enumerate(basis.rows):
-            assert row[:rank] == tuple(1 if j == i else 0 for j in range(rank))
+        assert len(tail) == rank
+        for row in basis_rows(d):
+            assert len(row) == d
             # every basis row is a polynomial multiple of the cyclotomic
             rem = polycyc.IntPolynomial(row).divmod_monic(cyclotomic(d))[1]
             assert rem.is_zero()
@@ -92,8 +99,8 @@ class TestHnfBasis:
     def test_span_preserved(self, d):
         # each generating shift x^j * Phi_d lies back in the row span, with
         # integer coordinates read off the identity block
-        basis = hnf_basis(d)
-        rank = basis.rank
+        rows = basis_rows(d)
+        rank = len(rows)
         phi = cyclotomic(d).coeffs
         for j in range(rank):
             shift = [0] * j + list(phi) + [0] * (d - j - len(phi))
@@ -102,7 +109,7 @@ class TestHnfBasis:
                 z = shift[i]
                 if z:
                     for t in range(d):
-                        combo[t] += z * basis.rows[i][t]
+                        combo[t] += z * rows[i][t]
             assert combo == shift
 
     def test_rejects_d1(self):
@@ -186,7 +193,7 @@ class TestGeneralDivisor:
         w = 1 << 61
         with pytest.raises(BudgetExceededError) as err:
             oracles.box_probability(6, 6 * w, HALF, budget=10 ** 100)
-        assert err.value.required == (w + 1) ** hnf_basis(6).rank
+        assert err.value.required == (w + 1) ** len(hnf_basis(6))
         # fewer than 2^63 candidates, but w * rank * max|A| reaches 2^62
         with pytest.raises(BudgetExceededError):
             oracles.box_probability(2, 2 << 62, HALF, budget=10 ** 100)
@@ -220,6 +227,15 @@ class TestGeneralDivisor:
         assert err.value.required == 3 ** 15
         with pytest.raises(ValueError):
             prob_divisor_general(5, 12, HALF)
+
+    def test_engine_exponent_budget(self, monkeypatch):
+        # m >= 2 builds masses over b^(m*w*p): d = 6 = 3 * 2 at n = 12 needs
+        # exponent 2 * 2 * 3 = 12, at n = 6 exponent 6
+        monkeypatch.setattr(binomstats, "POWER_SUM_BUDGET", 10)
+        with pytest.raises(BudgetExceededError, match="exponent 12") as err:
+            prob_divisor_general(6, 12, HALF)
+        assert (err.value.required, err.value.budget) == (12, 10)
+        assert prob_divisor_general(6, 6, HALF) == Fraction(5, 32)
 
 
 class TestBounds:
@@ -468,23 +484,23 @@ class TestReport:
 
 class TestJson:
     def test_rational_json(self):
-        assert rational_json(Fraction(7, 16)) == {
+        assert cli.to_json(Fraction(7, 16)) == {
             "num": "7", "den": "16", "decimal": "0.4375"}
 
     def test_rational_json_beyond_str_digit_limit(self):
         den = 3 ** 9029  # 4308 digits, above the default limit of 4300
-        data = rational_json(Fraction(2, den))
+        data = cli.to_json(Fraction(2, den))
         assert data["num"] == "2"
         assert data["den"] == oracles.decimal_digits(den)
         assert len(data["den"]) == 4308
         assert data["decimal"] == "0"
 
     def test_report_json_shape(self):
-        data = report_json(report(6, HALF))
+        data = cli.to_json(report(6, HALF))
         assert data["n"] == 6
         assert data["exact_union"]["num"] == "7"
         assert data["exact_union"]["den"] == "16"
         assert [e["d"] for e in data["per_divisor"]] == [1, 2, 3, 6]
         assert data["provenance"] == "closed-form"
-        d2 = next(b for b in data["bounds"] if b["d"] == 2)
+        d2 = next(b for b in cli.bounds_json(data["bounds"]) if b["d"] == 2)
         assert d2["lower"] is not None and d2["upper"] is not None
