@@ -9,7 +9,7 @@ from fractions import Fraction
 from .errors import BudgetExceededError
 
 #: Cap on n*m term-power operations for exact power sums, and on the
-#: exponent n of an exact binomial mass.
+#: exponent n of every exact value of dimension n.
 POWER_SUM_BUDGET = 200_000
 
 

@@ -5,8 +5,9 @@ output goes to stdout (JSON, or CSV for tables); diagnostics go to stderr.
 Exit codes: 0 success, 1 verify-suite failure, 2 usage error, 3 budget or
 resource error.
 
-Budgets can be overridden by flags or the environment variables
-CIRCSING_ENUM_BUDGET, CIRCSING_BRUTE_BUDGET, and CIRCSING_SAMPLES_CAP.
+The exact budgets are set by --enum-budget (candidates the CRT convolution
+visits per divisor) and --brute-budget (rows of the exhaustive union); the
+Monte-Carlo sample cap by the environment variable CIRCSING_SAMPLES_CAP.
 """
 from __future__ import annotations
 
@@ -64,16 +65,8 @@ def parse_n_range(text: str) -> list[int]:
 
 
 def _budgets_from(args) -> singexact.Budgets:
-    env = os.environ
-    enum_budget = (args.enum_budget
-                   if getattr(args, "enum_budget", None) is not None
-                   else int(env.get("CIRCSING_ENUM_BUDGET",
-                                    singexact.ENUMERATION_BUDGET)))
-    brute_budget = (args.brute_budget
-                    if getattr(args, "brute_budget", None) is not None
-                    else int(env.get("CIRCSING_BRUTE_BUDGET",
-                                     singexact.BRUTEFORCE_BUDGET)))
-    return singexact.Budgets(enumeration=enum_budget, bruteforce=brute_budget)
+    return singexact.Budgets(enumeration=args.enum_budget,
+                             bruteforce=args.brute_budget)
 
 
 def _emit(out, path: str | None) -> None:
@@ -221,10 +214,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", default=None,
                        help="write machine output to this path (default stdout)")
         if exact_budgets:
-            p.add_argument("--enum-budget", type=int, default=None,
-                           help="max image vectors per divisor, "
-                                "(n/d + 1)^(rad d / P(rad d))")
-            p.add_argument("--brute-budget", type=int, default=None,
+            p.add_argument("--enum-budget", type=int,
+                           default=singexact.ENUMERATION_BUDGET,
+                           help="max candidates the CRT convolution visits "
+                                "per divisor")
+            p.add_argument("--brute-budget", type=int,
+                           default=singexact.BRUTEFORCE_BUDGET,
                            help="max rows for exhaustive union enumeration")
 
     p = sub.add_parser("exact", help="exact probability report for one n")

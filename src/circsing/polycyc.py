@@ -51,12 +51,6 @@ class IntPolynomial:
         return IntPolynomial(
             [x + y for x, y in zip(a, b)] + list(a[len(b):]))
 
-    def __sub__(self, other: IntPolynomial) -> IntPolynomial:
-        return self + (-other)
-
-    def __neg__(self) -> IntPolynomial:
-        return IntPolynomial([-c for c in self.coeffs])
-
     def __mul__(self, other: IntPolynomial) -> IntPolynomial:
         if self.is_zero() or other.is_zero():
             return IntPolynomial()

@@ -22,7 +22,7 @@ from .errors import BudgetExceededError
 
 log = logging.getLogger(__name__)
 
-#: Default cap on image vectors, (n/d + 1)^m, per divisor.
+#: Default cap on (image, k) candidates the CRT convolution visits per divisor.
 ENUMERATION_BUDGET = 10_000_000
 #: Default cap on rows for the exhaustive union enumeration.
 BRUTEFORCE_BUDGET = 1 << 26
@@ -95,6 +95,15 @@ class ProbabilityReport:
     omitted: tuple[tuple[int, str], ...] = ()
 
 
+def _check_work(visited: int, budget: int, d: int, n: int) -> int:
+    """Refuse once the CRT convolution's visited candidates pass ``budget``."""
+    if visited > budget:
+        raise BudgetExceededError(
+            f"CRT image sum for d={d}, n={n} visits {visited} "
+            f"candidates (budget {budget})", required=visited, budget=budget)
+    return visited
+
+
 def prob_divisor_general(d: int, n: int, q: Fraction,
                          budget: int = ENUMERATION_BUDGET) -> Fraction:
     """Exact divisor probability for any d | n, d >= 2, by a CRT image sum.
@@ -106,39 +115,38 @@ def prob_divisor_general(d: int, n: int, q: Fraction,
     Bruijn 1953), so P(k, n/e) = sum_v pi_m(v)^p for pi_m the image law under
     iid Binomial(n/d, q) entries: the binomial power sum when m = 1, else the
     convolution of the m coordinate laws, folded in one at a time.  Refuses
-    when the (n/d + 1)^m vectors of a sub-row exceed ``budget`` or 2^63, and
-    when the exponent m*(n/d)*p exceeds ``binomstats.POWER_SUM_BUDGET``.
+    n above ``binomstats.POWER_SUM_BUDGET`` (the value is over b^n), and a fold
+    step that would take the (image, k) candidates visited past ``budget``.
     """
     if d < 2:
         raise ValueError("d must be at least 2")
     if n % d:
         raise ValueError(f"{d} does not divide {n}")
     binomstats._check_exact_q(q)
+    binomstats.check_exponent(n, f"divisor d={d} of n={n} needs exponent {n}")
     *rest, p = sorted(polycyc.factorize(d))
     m = math.prod(rest)
     e, w = d // (p * m), n // d
     if m == 1:
         return binomstats.power_sum_exact(w, p, q) ** e
-    required = (w + 1) ** m
-    # Refuse 2^63 vectors or more at any budget: far past any run that ends.
-    limit = min(budget, 2 ** 63 - 1)
-    if required > limit:
-        raise BudgetExceededError(
-            f"CRT image sum for d={d}, n={n} needs {required} "
-            f"candidate vectors (budget {limit})",
-            required=required, budget=limit)
-    binomstats.check_exponent(
-        m * w * p, f"CRT image sum for d={d}, n={n} needs exponent {m * w * p}")
     # Unit vector e_i maps to -A[i] for i < r and to e_(i-r) of Z^(m-r) after.
     tail = hnf_basis(m)
     r = len(tail)
     steps = [tuple(-x for x in row) for row in tail]
     steps += [tuple(int(j == i) for j in range(m - r)) for i in range(m - r)]
-    # Numerators over b^w of the Binomial(w, a/b) masses.
+    # No step is zero, so step 0 takes the one image to w + 1 and step 1
+    # visits (w + 1)^2 more candidates: refuse those before the masses exist.
+    _check_work(w + 1, budget, d, n)
+    _check_work((w + 1) * (w + 2), budget, d, n)
+    # Numerators over b^w of the Binomial(w, a/b) masses, each from the last.
     a, b = q.numerator, q.denominator
-    mass = [math.comb(w, k) * a**k * (b - a) ** (w - k) for k in range(w + 1)]
+    mass = [(b - a) ** w]
+    for k in range(w):
+        mass.append(mass[-1] * (w - k) * a // ((k + 1) * (b - a)))
     law = {(0,) * (m - r): 1}
+    visited = 0
     for step in steps:
+        visited = _check_work(visited + len(law) * (w + 1), budget, d, n)
         folded: dict[tuple[int, ...], int] = {}
         for image, num in law.items():
             for k, mk in enumerate(mass):
@@ -146,7 +154,7 @@ def prob_divisor_general(d: int, n: int, q: Fraction,
                 folded[key] = folded.get(key, 0) + num * mk
         law = folded
     log.debug("CRT image sum d=%d n=%d: kept %d of %d candidates",
-              d, n, len(law), required)
+              d, n, len(law), visited)
     total = sum(num ** p for num in law.values())
     return Fraction(total, b ** (m * w * p)) ** e
 
@@ -157,6 +165,7 @@ def prob_bounds(d: int, n: int, q: Fraction) -> tuple[Fraction | None, Fraction]
         raise ValueError("d must be at least 2")
     if n % d:
         raise ValueError(f"{d} does not divide {n}")
+    binomstats.check_exponent(n, f"bounds for d={d} of n={n} need exponent {n}")
     mx = binomstats.binom_max(n // d, q)
     upper = mx ** polycyc.totient(d)
     lower = mx ** d if polycyc.is_prime(d) else None
@@ -319,10 +328,11 @@ def report(n: int, q: Fraction, model: str = "binary",
     """Full singularity report for dimension n: per-divisor values, bounds,
     and the exact union via the best available strategy.
 
-    Strategies degrade gracefully: divisors whose enumeration exceeds the
-    budget are listed in ``omitted`` and an out-of-budget union is left
-    absent with provenance recording why.
+    Every value has exponent n, so n above POWER_SUM_BUDGET refuses it whole.
+    Below that, divisors over the work budget are listed in ``omitted`` and an
+    out-of-budget union is left absent with provenance recording why.
     """
+    binomstats.check_exponent(n, f"report for n={n} needs exponent {n}")
     union, provenance = exact_union(n, q, model, budgets)
     per: list[DivisorProbability] = []
     omitted: list[tuple[int, str]] = []

@@ -209,25 +209,43 @@ class TestBudgetsAndErrors:
         assert code == 3
         assert "candidate" in err
 
-    def test_image_vector_budget(self, capsys):
-        # d = 105 at n = 210 needs 3^15 image vectors, above the default 10^7
-        code, _, err = run_capture(
-            capsys, ["divisor", "--n", "210", "--d", "105", "--q", "1/2"])
-        assert code == 3
-        assert str(3 ** 15) in err
+    def test_work_budget_boundary(self, capsys):
+        # d = 70 at n = 140: the convolution visits 10356 candidates
+        code, out, err = run_capture(
+            capsys, ["divisor", "--n", "140", "--d", "70", "--q", "1/3",
+                     "--enum-budget", "10355"])
+        assert code == 3 and out == ""
+        assert "10356 candidates" in err
 
     def test_engine_exponent_budget(self, capsys):
-        # d = 2 * 200003: two image vectors, but masses over 3^(2 * 200003)
+        # d = 2 * 200003: two image vectors, but a value over 3^400006
         code, out, err = run_capture(
             capsys, ["divisor", "--n", "400006", "--d", "400006", "--q", "1/3"])
         assert code == 3 and out == ""
         assert "exponent 400006" in err and "budget 200000" in err
+
+    @pytest.mark.parametrize("argv", [
+        # d = 2^19: the power sum needs exponent 2, its power ** e the rest
+        ["divisor", "--n", "524288", "--d", "524288"],
+        # binom_max(1, 1/3) needs exponent 1, its power phi(d) the rest
+        ["bounds", "--n", "2097152", "--d", "2097152"],
+    ])
+    def test_exponent_budget_counts_n(self, capsys, argv):
+        code, out, err = run_capture(capsys, argv + ["--q", "1/3"])
+        assert code == 3 and out == ""
+        assert f"exponent {argv[2]}" in err and "budget 200000" in err
 
     def test_bounds_exponent_budget(self, capsys, monkeypatch):
         monkeypatch.setattr(binomstats, "POWER_SUM_BUDGET", 10)
         code, _, err = run_capture(capsys, ["bounds", "--n", "22", "--q", "1/3"])
         assert code == 3
         assert "exponent" in err
+
+    def test_exact_exponent_budget(self, capsys, monkeypatch):
+        monkeypatch.setattr(binomstats, "POWER_SUM_BUDGET", 10)
+        code, out, err = run_capture(capsys, ["exact", "--n", "12", "--q", "1/2"])
+        assert code == 3 and out == ""
+        assert "exponent 12" in err
 
     def test_d1_exponent_budget(self, capsys, monkeypatch):
         monkeypatch.setattr(binomstats, "POWER_SUM_BUDGET", 10)
@@ -242,12 +260,6 @@ class TestBudgetsAndErrors:
                      "--shards", "4"])
         assert code == 2
         assert "shards" in err
-
-    def test_enumeration_budget_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("CIRCSING_ENUM_BUDGET", "10")
-        code, _, err = run_capture(
-            capsys, ["divisor", "--n", "60", "--d", "30", "--q", "1/2"])
-        assert code == 3
 
     def test_usage_error(self, capsys):
         assert cli.run(["exact", "--n", "4"]) == 2  # missing --q

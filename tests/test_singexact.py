@@ -1,6 +1,7 @@
 import logging
 import math
 import re
+import time
 from fractions import Fraction
 from itertools import product
 
@@ -207,30 +208,52 @@ class TestGeneralDivisor:
 
     def test_engine_refuses_huge_inputs_before_enumeration(self):
         w = 1 << 61
+        # the value is a fraction over 2^n, so n is refused before any law
         with pytest.raises(BudgetExceededError) as err:
             prob_divisor_general(6, 6 * w, HALF, budget=10 ** 100)
-        assert err.value.required == (w + 1) ** 2  # rad 6 = 3 * 2, m = 2
-        # m = 1: the binomial power sum refuses the exponent 2 * 2^62
+        assert err.value.required == 6 * w
+        # m = 1: refused the same way, before the binomial power sum
         with pytest.raises(BudgetExceededError):
             prob_divisor_general(2, 2 << 62, HALF, budget=10 ** 100)
 
     def test_engine_budget_error_reports_required_count(self):
-        # d = 12: rad 6 = 3 * 2, so (24/12 + 1)^2 image vectors
-        with pytest.raises(BudgetExceededError) as err:
-            prob_divisor_general(12, 24, HALF, budget=8)
-        assert err.value.required == 9
-        assert (prob_divisor_general(12, 24, HALF, budget=9)
+        # d = 12 at n = 24: rad 6 = 3 * 2, w = 2; the two fold steps visit
+        # 1 * 3 and then 3 * 3 (image, k) candidates
+        with pytest.raises(BudgetExceededError, match="candidate") as err:
+            prob_divisor_general(12, 24, HALF, budget=11)
+        assert (err.value.required, err.value.budget) == (12, 11)
+        assert (prob_divisor_general(12, 24, HALF, budget=12)
                 == oracles.box_probability(12, 24, HALF))
-        # d = 105 at n = 210: m = 15 and n/d = 2
-        with pytest.raises(BudgetExceededError) as err:
-            prob_divisor_general(105, 210, HALF)
-        assert err.value.required == 3 ** 15
         with pytest.raises(ValueError):
             prob_divisor_general(5, 12, HALF)
 
+    def test_work_budget_boundary(self):
+        # d = 70 at n = 140: m = 10 and w = 2, so 3^10 image vectors, but the
+        # convolution visits 10356 candidates
+        with pytest.raises(BudgetExceededError) as err:
+            prob_divisor_general(70, 140, THIRD, budget=10355)
+        assert (err.value.required, err.value.budget) == (10356, 10355)
+        assert (prob_divisor_general(70, 140, THIRD, budget=10356)
+                == oracles.crt_enumeration_probability(70, 140, THIRD))
+
+    def test_work_budget_refuses_quickly(self):
+        # d = n = 667 = 29 * 23: m = 23, w = 1, and the law doubles at each
+        # of the first fold steps, so it refuses after 2 + 4 + ... + 2^9
+        # visited candidates; at the default budget its law would take GBs
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceededError) as err:
+            prob_divisor_general(667, 667, THIRD, budget=1000)
+        assert (err.value.required, err.value.budget) == (1022, 1000)
+        # d = 6 at n = 199998: w = 33333, and step 1 would visit (w + 1)^2
+        # candidates; refused before the w + 1 masses of ~w*log2(3) bits exist
+        with pytest.raises(BudgetExceededError) as err:
+            prob_divisor_general(6, 199998, THIRD)
+        assert err.value.required == 33334 + 33334 ** 2
+        assert time.perf_counter() - start < 10
+
     def test_engine_exponent_budget(self, monkeypatch):
-        # m >= 2 builds masses over b^(m*w*p): d = 6 = 3 * 2 at n = 12 needs
-        # exponent 2 * 2 * 3 = 12, at n = 6 exponent 6
+        # every divisor value of dimension n is a fraction over b^n: d = 6 at
+        # n = 12 needs exponent 12, at n = 6 exponent 6
         monkeypatch.setattr(binomstats, "POWER_SUM_BUDGET", 10)
         with pytest.raises(BudgetExceededError, match="exponent 12") as err:
             prob_divisor_general(6, 12, HALF)
@@ -259,10 +282,12 @@ class TestBounds:
                     assert lower <= value
 
     def test_exponent_budget(self, monkeypatch):
+        # both bounds are fractions over 2^n, so n is budgeted, not n/d
         monkeypatch.setattr(binomstats, "POWER_SUM_BUDGET", 10)
-        assert prob_bounds(2, 20, HALF)[1] == Fraction(63, 256)  # n/d = 10
-        with pytest.raises(BudgetExceededError):
-            prob_bounds(2, 22, HALF)
+        assert prob_bounds(2, 10, HALF) == (Fraction(25, 256), Fraction(5, 16))
+        with pytest.raises(BudgetExceededError, match="exponent 12") as err:
+            prob_bounds(2, 12, HALF)
+        assert err.value.required == 12
 
 
 class TestClosedForm:
@@ -463,21 +488,23 @@ class TestReport:
             values = [dp.value for dp in rep.per_divisor]
             assert max(values) <= rep.exact_union <= sum(values)
 
-    def test_d1_omitted_over_exponent_budget(self, monkeypatch):
-        # n = 12, not the prime 11: the closed-form union refuses prime n
-        # above the budget before the per-divisor loop runs
+    def test_report_refused_over_exponent_budget(self, monkeypatch):
+        # every value of dimension n has exponent n, so the report is
+        # refused whole; n = 12 is not prime, so no closed form refuses first
         monkeypatch.setattr(binomstats, "POWER_SUM_BUDGET", 10)
-        rep = report(12, HALF)
-        assert 1 in {d for d, _ in rep.omitted}
-        assert 1 not in {dp.d for dp in rep.per_divisor}
+        with pytest.raises(BudgetExceededError, match="exponent 12") as err:
+            report(12, HALF)
+        assert (err.value.required, err.value.budget) == (12, 10)
 
     def test_budget_degradation(self):
         rep = report(36, HALF, budgets=Budgets(enumeration=3, bruteforce=1000))
         assert rep.exact_union is None
         assert rep.provenance == "absent-over-budget"
-        omitted = {d for d, _ in rep.omitted}
-        assert 36 in omitted  # needs 2^2 image vectors > 3
-        assert omitted == {6, 12, 18, 36}  # 7^2, 4^2, 3^2 and 2^2 vectors
+        omitted = dict(rep.omitted)
+        # candidates visited at refusal: 7, 4, 3 + 9 and 2 + 4
+        assert set(omitted) == {6, 12, 18, 36}
+        for d, visited in ((6, 7), (12, 4), (18, 12), (36, 6)):
+            assert f"visits {visited} candidates (budget 3)" in omitted[d]
         assert {dp.d for dp in rep.per_divisor}.isdisjoint(omitted)
         assert set(rep.bounds) == {d for d in polycyc.divisors(36) if d > 1}
 
