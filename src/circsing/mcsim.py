@@ -3,7 +3,9 @@
 Sampling uses the Philox 4x64-10 counter-based generator (numpy's Philox
 bit generator).  The stream is laid out per sample: sample i always owns
 the counter blocks [i * bps, (i+1) * bps) where bps = ceil(n/4), and each
-entry comes from a 53-bit uniform threshold comparison against q.  Because
+entry comes from a 53-bit uniform threshold comparison against q, made in
+integers: (x >> 11) * 2^-53 < q holds iff x < ceil(q * 2^53) * 2^11 for the
+raw 64-bit output x, so no float uniforms are formed.  Because
 the layout depends only on (seed, n, sample index), the singular count is
 bit-identical for every shard count, and any shard can be generated
 independently from (seed, shard range) without coordination.
@@ -46,8 +48,10 @@ def _sample_bits(seed: int, n: int, start: int, count: int, q: float) -> np.ndar
     bitgen = np.random.Philox(key=seed)
     bitgen.advance(start * bps)
     raw = bitgen.random_raw(count * bps * 4)
-    uniforms = (raw >> np.uint64(11)) * 2.0 ** -53
-    return (uniforms.reshape(count, bps * 4)[:, :n] < q).astype(np.int8)
+    # The 53-bit test in integers (see the module docstring); q < 1 keeps
+    # the threshold below 2^64.
+    threshold = np.uint64(math.ceil(q * 2.0 ** 53) << 11)
+    return (raw.reshape(count, bps * 4)[:, :n] < threshold).astype(np.int8)
 
 
 def shard_sizes(samples: int, shards: int) -> list[int]:

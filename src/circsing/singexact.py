@@ -198,6 +198,28 @@ def prob_union_closed_form(n: int, q: Fraction) -> Fraction | None:
             - q ** n - (1 - q) ** n)
 
 
+#: float32 represents every integer of magnitude below this bound exactly.
+FLOAT32_EXACT = 1 << 24
+
+
+@functools.lru_cache(maxsize=None)
+def _float_basis(d: int, w: int) -> np.ndarray:
+    """``hnf_basis(d)`` as float32 for folds with entries in [0, w].
+
+    Every product and partial sum of ``g[:, :r] @ A`` then has magnitude at
+    most w * (max column sum of |A|), so the BLAS product is an exact integer
+    as long as w * (1 + that sum) stays below ``FLOAT32_EXACT``.
+    """
+    a = np.array(hnf_basis(d), dtype=np.float32)
+    bound = w * (1 + int(np.abs(a).sum(axis=0).max()))
+    if bound >= FLOAT32_EXACT:
+        raise BudgetExceededError(
+            f"float32 lattice test for d={d} with fold entries up to {w} "
+            f"reaches {bound} (exact below {FLOAT32_EXACT})",
+            required=bound, budget=FLOAT32_EXACT)
+    return a
+
+
 def singular_mask(bits: np.ndarray, model: str = "binary") -> np.ndarray:
     """Exact singularity verdicts for a batch of first rows.
 
@@ -207,33 +229,60 @@ def singular_mask(bits: np.ndarray, model: str = "binary") -> np.ndarray:
     2b - J iff it divides b: both models fold the 0/1 rows into length d and
     test lattice membership s[rank:] == s[:rank] @ A, exactly.  Equivalent
     to ``polycyc.singular_divisors`` being nonempty, row by row.
+
+    The rows are cast to float32 once.  Divisors d >= 2 are visited in
+    decreasing order, and each d is folded from the fold of its smallest
+    multiple D = d*p among the divisors (p the least prime of n/d) by adding
+    the p contiguous column blocks of width d; a fold is dropped after its
+    last reader.  Fold entries lie in [0, n/d], so the float32 BLAS product
+    is exact while (n/d) * (1 + max column sum of |A|) < ``FLOAT32_EXACT``
+    (``_float_basis`` refuses otherwise).
     """
     _check_model(model)
-    m, n = bits.shape
+    n = bits.shape[1]
     weight = bits.sum(axis=1, dtype=np.int32)
     mask = weight == 0 if model == "binary" else 2 * weight == n
-    for d in polycyc.divisors(n)[1:]:
+    down = polycyc.divisors(n)[:0:-1]
+    source = {d: d * min(polycyc.factorize(n // d)) for d in down[1:]}
+    last_reader = {big: d for d, big in source.items()}  # smallest d wins
+    folds: dict[int, np.ndarray] = {}
+    g = bits.astype(np.float32)
+    for d in down:
         if mask.all():
             break
-        folded = bits.reshape(m, n // d, d).sum(axis=1, dtype=np.int32)
-        a = np.array(hnf_basis(d), dtype=np.int32)
+        if d < n:
+            big_d = source[d]
+            big = folds.pop(big_d) if last_reader[big_d] == d else folds[big_d]
+            g = big[:, :d] + big[:, d:2 * d]
+            for k in range(2 * d, big_d, d):
+                g += big[:, k:k + d]
+        if d in last_reader:
+            folds[d] = g
+        a = _float_basis(d, n // d)
         r = len(a)
-        mask |= (folded[:, r:] == folded[:, :r] @ a).all(axis=1)
+        mask |= (g[:, r:] == g[:, :r] @ a).all(axis=1)
     return mask
+
+
+#: The union enumerates 2^n rows in chunks of 2^_UNION_LOW_BITS: the low bit
+#: columns are filled once and shared by every chunk, the high ones per chunk.
+_UNION_LOW_BITS = 20
 
 
 @functools.lru_cache(maxsize=64)
 def _singular_weight_counts(n: int) -> tuple[int, ...]:
     """Count singular binary rows among all 2^n, grouped by number of one bits."""
+    low = min(n, _UNION_LOW_BITS)
+    idx = np.arange(1 << low)
+    bits = np.empty((1 << low, n), dtype=np.int8)
+    for j in range(low):
+        bits[:, j] = (idx >> j) & 1
+    low_weight = bits[:, :low].sum(axis=1, dtype=np.int64)
     counts = np.zeros(n + 1, dtype=np.int64)
-    shifts = np.arange(n, dtype=np.int64)
-    chunk = 1 << 20
-    for start in range(0, 1 << n, chunk):
-        idx = np.arange(start, min(start + chunk, 1 << n), dtype=np.int64)
-        bits = ((idx[:, None] >> shifts) & 1).astype(np.int8)
+    for high in range(1 << (n - low)):
+        bits[:, low:] = [(high >> j) & 1 for j in range(n - low)]
         sel = singular_mask(bits)
-        counts += np.bincount(bits.sum(axis=1, dtype=np.int64)[sel],
-                              minlength=n + 1)
+        counts += np.bincount(low_weight[sel] + high.bit_count(), minlength=n + 1)
     return tuple(int(c) for c in counts)
 
 

@@ -7,8 +7,9 @@ floating-point cross-check of the exact singularity test, and the CRT coset
 sum is an independent route to two-prime divisor probabilities, box
 enumeration over the lattice basis is an independent route to every divisor
 probability, enumeration of the CRT image vectors is a second route for
-every d with two or more primes, and the chunked decimal conversion checks
-output past the int-to-str digit limit.
+every d with two or more primes, the chunked decimal conversion checks
+output past the int-to-str digit limit, and the float form of the 53-bit
+threshold test checks the Monte-Carlo row generator.
 """
 from __future__ import annotations
 
@@ -256,6 +257,17 @@ def decimal_digits(x: int) -> str:
         x, low = divmod(x, 10 ** 1000)
         pieces.append(f"{low:01000d}")
     return str(x) + "".join(reversed(pieces))
+
+
+def sample_bits_by_uniforms(seed: int, n: int, start: int, count: int,
+                            q: float) -> np.ndarray:
+    """Monte-Carlo rows by the documented float test: the entry that the
+    per-sample Philox layout gives the raw output x is (x >> 11) * 2^-53 < q."""
+    bps = -(-n // 4)
+    bitgen = np.random.Philox(key=seed)
+    bitgen.advance(start * bps)
+    raw = bitgen.random_raw(count * bps * 4).reshape(count, bps * 4)[:, :n]
+    return ((raw >> np.uint64(11)) * 2.0 ** -53 < q).astype(np.int8)
 
 
 def max_pdf_by_scan(n: int, q: Fraction) -> tuple[int, Fraction]:

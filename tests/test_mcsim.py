@@ -9,6 +9,8 @@ from circsing.mcsim import EstimateWithCI, sample_singularity, shard_sizes
 from circsing.polycyc import FirstRow, singular_divisors
 from circsing.singexact import prob_union_bruteforce
 
+import oracles
+
 HALF = Fraction(1, 2)
 
 
@@ -35,6 +37,24 @@ class TestDeterminism:
         assert shard_sizes(10, 4) == [3, 3, 2, 2]
         assert shard_sizes(8, 4) == [2, 2, 2, 2]
         assert sum(shard_sizes(99_999, 16)) == 99_999
+
+
+class TestRowGeneration:
+    @pytest.mark.parametrize("q", [2.0 ** -40, 1 / 50, 1 / 3, 0.5, 1 - 2.0 ** -53])
+    @pytest.mark.parametrize("n", [1, 3, 5, 127])
+    def test_matches_float_threshold(self, n, q):
+        got = mcsim._sample_bits(seed=11, n=n, start=4321, count=2000, q=q)
+        want = oracles.sample_bits_by_uniforms(11, n, 4321, 2000, q)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def test_threshold_at_a_drawn_uniform(self):
+        # q equal to a drawn uniform u: that entry is u < q, false, and the
+        # next float above u makes it true
+        raw = np.random.Philox(key=11).random_raw(1)
+        u = float(raw[0] >> np.uint64(11)) * 2.0 ** -53
+        for q in (u, math.nextafter(u, 1.0)):
+            got = mcsim._sample_bits(seed=11, n=1, start=0, count=1, q=q)
+            assert got[0, 0] == int(u < q)
 
 
 class TestExactness:

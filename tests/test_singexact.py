@@ -28,6 +28,17 @@ def all_bit_rows(n):
     return ((idx[:, None] >> np.arange(n, dtype=np.int64)) & 1).astype(np.int8)
 
 
+def periodic_and_random_rows(n):
+    """Rows g(x) (x^n - 1)/(x^c - 1), i.e. a random 0/1 block g of length c
+    repeated n/c times, for every proper divisor c of n, plus random rows.
+    Phi_d divides such a row for every d | n with d not dividing c, so the
+    large-d events that random rows almost never hit occur here."""
+    rng = np.random.default_rng(n)
+    blocks = [np.tile(rng.integers(0, 2, (8, c)), (1, n // c))
+              for c in polycyc.divisors(n)[:-1]]
+    return np.vstack(blocks + [rng.integers(0, 2, (64, n))]).astype(np.int8)
+
+
 class TestPrimeDivisor:
     """Prime d is the e = 1 case of the engine's binomial power sum."""
 
@@ -355,6 +366,17 @@ class TestBruteForce:
                            for w, c in enumerate(hits))
                 assert prob_union_bruteforce(n, q, "signed") == want, (n, q)
 
+    def test_chunked_enumeration_matches(self, monkeypatch):
+        # three low bit columns give 2^(n-3) chunks, covering the chunk loop
+        want = {n: singexact._singular_weight_counts(n) for n in range(6, 13)}
+        singexact._singular_weight_counts.cache_clear()
+        monkeypatch.setattr(singexact, "_UNION_LOW_BITS", 3)
+        try:
+            got = {n: singexact._singular_weight_counts(n) for n in range(6, 13)}
+        finally:
+            singexact._singular_weight_counts.cache_clear()
+        assert got == want
+
     def test_signed_reuses_binary_enumeration(self):
         prob_union_bruteforce(14, THIRD)
         misses = singexact._singular_weight_counts.cache_info().misses
@@ -364,9 +386,9 @@ class TestBruteForce:
 
 class TestSingularMask:
     @pytest.mark.parametrize("model", ["binary", "signed"])
-    @pytest.mark.parametrize("n", range(1, 11))
+    @pytest.mark.parametrize("n", [*range(1, 11), 60, 64, 90, 105, 120, 128])
     def test_matches_scalar_path(self, model, n):
-        bits = all_bit_rows(n)
+        bits = all_bit_rows(n) if n <= 10 else periodic_and_random_rows(n)
         mask = singular_mask(bits, model)
         for i, row_bits in enumerate(bits.tolist()):
             want = bool(singular_divisors(FirstRow(n, tuple(row_bits)),
@@ -376,6 +398,17 @@ class TestSingularMask:
     def test_rejects_unknown_model(self):
         with pytest.raises(ValueError):
             singular_mask(all_bit_rows(2), "ternary")
+
+    def test_refuses_inexact_float32_test(self, monkeypatch):
+        # n = 12: the d = 2 fold has entries up to 6 and A = [[1]], so d = 2
+        # alone reaches 6 * (1 + 1) = 12
+        singexact._float_basis.cache_clear()
+        monkeypatch.setattr(singexact, "FLOAT32_EXACT", 12)
+        try:
+            with pytest.raises(BudgetExceededError, match="float32"):
+                singular_mask(periodic_and_random_rows(12))
+        finally:
+            singexact._float_basis.cache_clear()
 
 
 class TestSignedOps:
