@@ -8,7 +8,7 @@ from .errors import BudgetExceededError
 from .mcsim import EstimateWithCI, sample_singularity
 from .polycyc import (FirstRow, IntPolynomial, cyclotomic, fold,
                       reduce_mod_cyclotomic, singular_divisors)
-from .singexact import (Budgets, DivisorProbability, ProbabilityReport,
+from .singexact import (DivisorProbability, ProbabilityReport,
                         divisor_probability, exact_union, hnf_basis,
                         prob_bounds, prob_divisor_general,
                         prob_union_bruteforce, prob_union_closed_form, report,
@@ -17,7 +17,7 @@ from .singexact import (Budgets, DivisorProbability, ProbabilityReport,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AsymptoticValue", "Budgets", "BudgetExceededError", "ConvergenceRow",
+    "AsymptoticValue", "BudgetExceededError", "ConvergenceRow",
     "DivisorProbability", "EstimateWithCI", "FirstRow", "IntPolynomial",
     "ProbabilityReport", "approx_closed", "approx_main", "approx_signed",
     "binom_max", "binom_pdf_exact", "binom_pdf_log", "convergence_table",

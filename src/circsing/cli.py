@@ -5,9 +5,11 @@ output goes to stdout (JSON, or CSV for tables); diagnostics go to stderr.
 Exit codes: 0 success, 1 verify-suite failure, 2 usage error, 3 budget or
 resource error.
 
-The exact budgets are set by --enum-budget (candidates the CRT convolution
-visits per divisor) and --brute-budget (rows of the exhaustive union); the
-Monte-Carlo sample cap by the environment variable CIRCSING_SAMPLES_CAP.
+Each exact budget is an option only on the commands that spend it:
+--enum-budget (candidates the CRT convolution visits per divisor) on exact
+and divisor, --brute-budget (rows of the exhaustive union) on exact and
+table.  The Monte-Carlo sample cap is the environment variable
+CIRCSING_SAMPLES_CAP.
 """
 from __future__ import annotations
 
@@ -64,11 +66,6 @@ def parse_n_range(text: str) -> list[int]:
     return list(range(a, b + 1, step))
 
 
-def _budgets_from(args) -> singexact.Budgets:
-    return singexact.Budgets(enumeration=args.enum_budget,
-                             bruteforce=args.brute_budget)
-
-
 def _emit(out, path: str | None) -> None:
     """Write CSV text as it is, anything else as indented JSON."""
     text = out if isinstance(out, str) else json.dumps(out, indent=2)
@@ -109,7 +106,8 @@ def bounds_json(bounds: dict[int, tuple[Fraction | None, Fraction]]) -> list[dic
 def _cmd_exact(args) -> int:
     q = require_rational(parse_q(args.q), "exact")
     model = "signed" if args.signed else "binary"
-    rep = singexact.report(args.n, q, model, _budgets_from(args))
+    rep = singexact.report(args.n, q, model, enum_budget=args.enum_budget,
+                           brute_budget=args.brute_budget)
     _emit({**to_json(rep), "bounds": bounds_json(rep.bounds),
            "omitted": [{"d": d, "reason": why} for d, why in rep.omitted]},
           args.output)
@@ -119,7 +117,7 @@ def _cmd_exact(args) -> int:
 def _cmd_divisor(args) -> int:
     q = require_rational(parse_q(args.q), "divisor")
     model = "signed" if args.signed else "binary"
-    dp = singexact.divisor_probability(args.d, args.n, q, model, _budgets_from(args))
+    dp = singexact.divisor_probability(args.d, args.n, q, model, args.enum_budget)
     _emit(to_json(dp), args.output)
     return 0
 
@@ -170,7 +168,7 @@ def _cmd_table(args) -> int:
     q = require_rational(parse_q(args.q), "table")
     model = "signed" if args.signed else "binary"
     rows = asym.convergence_table(q, parse_n_range(args.n_range), model,
-                                  _budgets_from(args))
+                                  args.brute_budget)
     _emit(to_json(rows) if args.format == "json" else table_to_csv(rows),
           args.output)
     return 0
@@ -210,14 +208,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="Singularity probabilities of random circulant Bernoulli matrices.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, exact_budgets=False):
+    def add_common(p, enum_budget=False, brute_budget=False):
         p.add_argument("--output", default=None,
                        help="write machine output to this path (default stdout)")
-        if exact_budgets:
+        if enum_budget:
             p.add_argument("--enum-budget", type=int,
                            default=singexact.ENUMERATION_BUDGET,
                            help="max candidates the CRT convolution visits "
                                 "per divisor")
+        if brute_budget:
             p.add_argument("--brute-budget", type=int,
                            default=singexact.BRUTEFORCE_BUDGET,
                            help="max rows for exhaustive union enumeration")
@@ -226,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--q", required=True, help="rational like 1/2")
     p.add_argument("--signed", action="store_true")
-    add_common(p, exact_budgets=True)
+    add_common(p, enum_budget=True, brute_budget=True)
     p.set_defaults(func=_cmd_exact)
 
     p = sub.add_parser("divisor", help="one per-divisor probability")
@@ -234,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--q", required=True, help="rational like 1/2")
     p.add_argument("--signed", action="store_true")
-    add_common(p, exact_budgets=True)
+    add_common(p, enum_budget=True)
     p.set_defaults(func=_cmd_divisor)
 
     p = sub.add_parser("bounds", help="per-divisor probability bounds")
@@ -258,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", required=True, help="rational like 1/2")
     p.add_argument("--signed", action="store_true")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    add_common(p, exact_budgets=True)
+    add_common(p, brute_budget=True)
     p.set_defaults(func=_cmd_table)
 
     p = sub.add_parser("mc", help="Monte-Carlo estimate")

@@ -21,11 +21,6 @@ from . import singexact
 
 GENERATOR = "philox-4x64-10"
 
-# Each slice of samples draws at most this many raw Philox bytes (one row
-# takes 32 * ceil(n/4)), which bounds memory for every n.
-_SLICE_BYTES = 1 << 24
-
-
 @dataclasses.dataclass(frozen=True)
 class EstimateWithCI:
     """Monte-Carlo estimate with its binomial standard error and provenance."""
@@ -83,7 +78,9 @@ def sample_singularity(n: int, q, samples: int, seed: int,
     if not 0.0 < qf < 1.0:
         raise ValueError(f"q={q} must lie strictly between 0 and 1")
 
-    rows = max(1, _SLICE_BYTES // (32 * -(-n // 4)))
+    # Each slice draws at most singexact.BATCH_BYTES raw Philox bytes (one
+    # row takes 32 * ceil(n/4)).
+    rows = max(1, singexact.BATCH_BYTES // (32 * -(-n // 4)))
     count = 0
     start = 0
     for size in shard_sizes(samples, shards):

@@ -44,13 +44,6 @@ class IntPolynomial:
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
-    def __add__(self, other: IntPolynomial) -> IntPolynomial:
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        return IntPolynomial(
-            [x + y for x, y in zip(a, b)] + list(a[len(b):]))
-
     def __mul__(self, other: IntPolynomial) -> IntPolynomial:
         if self.is_zero() or other.is_zero():
             return IntPolynomial()

@@ -27,16 +27,12 @@ ENUMERATION_BUDGET = 10_000_000
 #: Default cap on rows for the exhaustive union enumeration.
 BRUTEFORCE_BUDGET = 1 << 26
 
+#: Byte bound on one batch of rows for ``singular_mask``: it caps the raw
+#: Philox bytes of an MC slice and the float32 copy of a union chunk, which
+#: bounds memory for every n.
+BATCH_BYTES = 1 << 24
+
 MODELS = ("binary", "signed")
-
-
-@dataclasses.dataclass(frozen=True)
-class Budgets:
-    enumeration: int = ENUMERATION_BUDGET
-    bruteforce: int = BRUTEFORCE_BUDGET
-
-
-DEFAULT_BUDGETS = Budgets()
 
 
 def _check_model(model: str) -> str:
@@ -53,21 +49,20 @@ def hnf_basis(d: int) -> tuple[tuple[int, ...], ...]:
     The rows (I | A) span, over the integers, the same lattice as the
     coefficient vectors of x^j * Phi_d(x) for j = 0 .. rank-1 inside Z^d.  A
     length-d integer vector s lies in the lattice iff s[rank:] == s[:rank] @ A.
+
+    Row i is x^i + x^rank * a_i(x), in the lattice iff Phi_d divides it.
+    Since Phi_d divides x^d - 1, x^-rank = x^phi(d) modulo Phi_d, so
+    A[i] = -(x^(phi(d) + i) mod Phi_d): start from -(x^phi mod Phi_d), the
+    low coefficients of Phi_d, and multiply by x and reduce once per row.
     """
     if d < 2:
         raise ValueError("d must be at least 2")
-    phi = polycyc.cyclotomic(d).coeffs
-    rank = d - polycyc.totient(d)
-    rows = [[0] * j + list(phi) + [0] * (d - j - len(phi)) for j in range(rank)]
-    # The shifts never wrap (j + deg Phi_d <= d - 1) and each row has a
-    # unit pivot at column j because Phi_d(0) = 1 for d >= 2, so clearing
-    # above-diagonal entries with integer row ops yields (I | A) exactly.
-    for i in range(rank):
-        for j in range(i + 1, rank):
-            f = rows[i][j]
-            if f:
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[j])]
-    return tuple(tuple(row[rank:]) for row in rows)
+    low = polycyc.cyclotomic(d).coeffs[:-1]
+    rows = [low]
+    for _ in range(d - len(low) - 1):
+        top = rows[-1][-1]
+        rows.append(tuple(a - top * c for a, c in zip((0,) + rows[-1], low)))
+    return tuple(rows)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -243,7 +238,7 @@ def singular_mask(bits: np.ndarray, model: str = "binary") -> np.ndarray:
     weight = bits.sum(axis=1, dtype=np.int32)
     mask = weight == 0 if model == "binary" else 2 * weight == n
     down = polycyc.divisors(n)[:0:-1]
-    source = {d: d * min(polycyc.factorize(n // d)) for d in down[1:]}
+    source = {d: d * polycyc.smallest_prime(n // d) for d in down[1:]}
     last_reader = {big: d for d, big in source.items()}  # smallest d wins
     folds: dict[int, np.ndarray] = {}
     g = bits.astype(np.float32)
@@ -264,15 +259,15 @@ def singular_mask(bits: np.ndarray, model: str = "binary") -> np.ndarray:
     return mask
 
 
-#: The union enumerates 2^n rows in chunks of 2^_UNION_LOW_BITS: the low bit
-#: columns are filled once and shared by every chunk, the high ones per chunk.
-_UNION_LOW_BITS = 20
-
-
 @functools.lru_cache(maxsize=64)
 def _singular_weight_counts(n: int) -> tuple[int, ...]:
-    """Count singular binary rows among all 2^n, grouped by number of one bits."""
-    low = min(n, _UNION_LOW_BITS)
+    """Count singular binary rows among all 2^n, grouped by number of one bits.
+
+    The rows go in chunks of 2^low, the most whose float32 copy (4n bytes a
+    row) fits ``BATCH_BYTES``: the low bit columns are filled once and shared
+    by every chunk, the high ones are rewritten per chunk.
+    """
+    low = min(n, (BATCH_BYTES // (4 * n)).bit_length() - 1)
     idx = np.arange(1 << low)
     bits = np.empty((1 << low, n), dtype=np.int8)
     for j in range(low):
@@ -325,7 +320,7 @@ def signed_intersection_1_2(n: int, q: Fraction) -> Fraction:
 
 
 def divisor_probability(d: int, n: int, q: Fraction, model: str = "binary",
-                        budgets: Budgets = DEFAULT_BUDGETS) -> DivisorProbability:
+                        budget: int = ENUMERATION_BUDGET) -> DivisorProbability:
     """Single divisor probability with the method that produced it: the one
     dispatch on d's factorization (the models differ only at d = 1)."""
     _check_model(model)
@@ -339,7 +334,7 @@ def divisor_probability(d: int, n: int, q: Fraction, model: str = "binary",
             value = binomstats.binom_pdf_exact(0 if model == "binary" else n // 2, n, q)
         method = "trivial-d1"
     else:
-        value = prob_divisor_general(d, n, q, budgets.enumeration)
+        value = prob_divisor_general(d, n, q, budget)
         fac = polycyc.factorize(d)
         if len(fac) > 1:
             method = "crt-image-sum"
@@ -349,10 +344,10 @@ def divisor_probability(d: int, n: int, q: Fraction, model: str = "binary",
 
 
 def exact_union(n: int, q: Fraction, model: str = "binary",
-                budgets: Budgets = DEFAULT_BUDGETS) -> tuple[Fraction | None, str]:
+                budget: int = BRUTEFORCE_BUDGET) -> tuple[Fraction | None, str]:
     """Exact union over all divisors with its provenance: a trivial or closed
-    form, else the exhaustive 2^n enumeration within ``budgets.bruteforce``,
-    else None with ``absent-over-budget``."""
+    form, else the exhaustive 2^n enumeration within ``budget`` rows, else
+    None with ``absent-over-budget``."""
     _check_model(model)
     if n < 1:
         raise ValueError("n must be positive")
@@ -367,13 +362,14 @@ def exact_union(n: int, q: Fraction, model: str = "binary",
         value = prob_union_closed_form(n, q)
         if value is not None:
             return value, "closed-form"
-    if 2 ** n <= budgets.bruteforce:
-        return prob_union_bruteforce(n, q, model, budgets.bruteforce), "brute-force"
+    if 2 ** n <= budget:
+        return prob_union_bruteforce(n, q, model, budget), "brute-force"
     return None, "absent-over-budget"
 
 
-def report(n: int, q: Fraction, model: str = "binary",
-           budgets: Budgets = DEFAULT_BUDGETS) -> ProbabilityReport:
+def report(n: int, q: Fraction, model: str = "binary", *,
+           enum_budget: int = ENUMERATION_BUDGET,
+           brute_budget: int = BRUTEFORCE_BUDGET) -> ProbabilityReport:
     """Full singularity report for dimension n: per-divisor values, bounds,
     and the exact union via the best available strategy.
 
@@ -382,12 +378,12 @@ def report(n: int, q: Fraction, model: str = "binary",
     out-of-budget union is left absent with provenance recording why.
     """
     binomstats.check_exponent(n, f"report for n={n} needs exponent {n}")
-    union, provenance = exact_union(n, q, model, budgets)
+    union, provenance = exact_union(n, q, model, brute_budget)
     per: list[DivisorProbability] = []
     omitted: list[tuple[int, str]] = []
     for d in polycyc.divisors(n):
         try:
-            per.append(divisor_probability(d, n, q, model, budgets))
+            per.append(divisor_probability(d, n, q, model, enum_budget))
         except BudgetExceededError as exc:
             omitted.append((d, str(exc)))
     bounds = {d: prob_bounds(d, n, q) for d in polycyc.divisors(n) if d >= 2}

@@ -134,9 +134,7 @@ class TestConvergenceTable:
         assert rows[0].formula == "signed-corollary"
 
     def test_absent_exact_over_budget(self):
-        rows = convergence_table(HALF, [36],
-                                 budgets=singexact.Budgets(enumeration=10,
-                                                           bruteforce=10))
+        rows = convergence_table(HALF, [36], budget=10)
         assert rows[0].exact is None and rows[0].ratio is None
         assert rows[0].approx > 0
 

@@ -254,6 +254,25 @@ class TestBudgetsAndErrors:
         assert code == 3
         assert "exponent" in err
 
+    def test_table_brute_budget(self, capsys):
+        # n = 12 has no closed form; 2^12 rows exceed a budget of 10
+        argv = ["table", "--n-range", "12:12", "--q", "1/2"]
+        code, out, _ = run_capture(capsys, argv)
+        assert code == 0 and out.splitlines()[1].split(",")[1] == "47"
+        code, out, _ = run_capture(capsys, argv + ["--brute-budget", "10"])
+        assert code == 0 and out.splitlines()[1].split(",")[1] == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["divisor", "--n", "6", "--d", "3", "--q", "1/2", "--brute-budget", "10"],
+        ["table", "--n-range", "4:6", "--q", "1/2", "--enum-budget", "10"],
+        ["bounds", "--n", "6", "--q", "1/2", "--enum-budget", "10"],
+        ["mc", "--n", "4", "--q", "1/2", "--samples", "10", "--brute-budget", "10"],
+    ])
+    def test_budget_flags_only_where_spent(self, capsys, argv):
+        code, out, err = run_capture(capsys, argv)
+        assert code == 2 and out == ""
+        assert "unrecognized arguments" in err
+
     def test_shards_above_samples(self, capsys):
         code, _, err = run_capture(
             capsys, ["mc", "--n", "4", "--q", "1/2", "--samples", "3",

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from circsing import cli, mcsim
+from circsing import cli, mcsim, singexact
 from circsing.mcsim import EstimateWithCI, sample_singularity, shard_sizes
 from circsing.polycyc import FirstRow, singular_divisors
 from circsing.singexact import prob_union_bruteforce
@@ -143,7 +143,7 @@ class TestEstimateFields:
             steps.append(count)
             return sample_bits(seed, n, start, count, q)
         monkeypatch.setattr(mcsim, "_sample_bits", recording_sample_bits)
-        monkeypatch.setattr(mcsim, "_SLICE_BYTES", 7 * 64 + 63)
+        monkeypatch.setattr(singexact, "BATCH_BYTES", 7 * 64 + 63)
         sliced = sample_singularity(5, 0.5, 1000, seed=3, shards=3)
         assert sliced == unsliced
         assert max(steps) == 7 and sum(steps) == 1000

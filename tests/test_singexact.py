@@ -11,11 +11,10 @@ import pytest
 from circsing import asym, binomstats, cli, polycyc, singexact
 from circsing.errors import BudgetExceededError
 from circsing.polycyc import FirstRow, cyclotomic, singular_divisors
-from circsing.singexact import (Budgets, divisor_probability, exact_union,
-                                hnf_basis, prob_bounds, prob_divisor_general,
+from circsing.singexact import (divisor_probability, exact_union, hnf_basis,
+                                prob_bounds, prob_divisor_general,
                                 prob_union_bruteforce, prob_union_closed_form,
-                                report,
-                                signed_intersection_1_2, singular_mask)
+                                report, signed_intersection_1_2, singular_mask)
 
 import oracles
 
@@ -89,6 +88,10 @@ def basis_rows(d):
                  for i, row in enumerate(tail))
 
 
+# Past d = 40: every divisor of 120 and the three-prime 105 and 210.
+BASIS_DS = sorted({*range(2, 41), *polycyc.divisors(120)[1:], 105, 210})
+
+
 class TestHnfBasis:
     def test_examples(self):
         assert basis_rows(2) == ((1, 1),)
@@ -96,7 +99,7 @@ class TestHnfBasis:
         for p in (3, 5, 7):
             assert basis_rows(p) == ((1,) * p,)
 
-    @pytest.mark.parametrize("d", range(2, 41))
+    @pytest.mark.parametrize("d", BASIS_DS)
     def test_structure(self, d):
         tail = hnf_basis(d)
         rank = d - polycyc.totient(d)
@@ -107,7 +110,7 @@ class TestHnfBasis:
             rem = polycyc.IntPolynomial(row).divmod_monic(cyclotomic(d))[1]
             assert rem.is_zero()
 
-    @pytest.mark.parametrize("d", range(2, 41))
+    @pytest.mark.parametrize("d", BASIS_DS)
     def test_span_preserved(self, d):
         # each generating shift x^j * Phi_d lies back in the row span, with
         # integer coordinates read off the identity block
@@ -123,6 +126,20 @@ class TestHnfBasis:
                     for t in range(d):
                         combo[t] += z * rows[i][t]
             assert combo == shift
+
+    def test_cold_d1155(self):
+        # d = 1155 = 3 * 5 * 7 * 11, built outside the cache: phi = 480
+        start = time.perf_counter()
+        tail = hnf_basis.__wrapped__(1155)
+        assert time.perf_counter() - start < 5
+        assert len(tail) == 675
+        assert all(len(row) == 480 for row in tail)
+        a = np.array(tail, dtype=np.int64)
+        phi = cyclotomic(1155).coeffs
+        for j in (0, 337, 674):
+            s = np.zeros(1155, dtype=np.int64)
+            s[j:j + len(phi)] = phi
+            assert np.array_equal(s[675:], s[:675] @ a), j
 
     def test_rejects_d1(self):
         with pytest.raises(ValueError):
@@ -367,10 +384,11 @@ class TestBruteForce:
                 assert prob_union_bruteforce(n, q, "signed") == want, (n, q)
 
     def test_chunked_enumeration_matches(self, monkeypatch):
-        # three low bit columns give 2^(n-3) chunks, covering the chunk loop
+        # a 192-byte batch holds 2^3 float32 rows at n = 6 and 2^2 at
+        # n = 7..12, so every n takes 2^(n-3) chunks or more
         want = {n: singexact._singular_weight_counts(n) for n in range(6, 13)}
         singexact._singular_weight_counts.cache_clear()
-        monkeypatch.setattr(singexact, "_UNION_LOW_BITS", 3)
+        monkeypatch.setattr(singexact, "BATCH_BYTES", 192)
         try:
             got = {n: singexact._singular_weight_counts(n) for n in range(6, 13)}
         finally:
@@ -386,7 +404,8 @@ class TestBruteForce:
 
 class TestSingularMask:
     @pytest.mark.parametrize("model", ["binary", "signed"])
-    @pytest.mark.parametrize("n", [*range(1, 11), 60, 64, 90, 105, 120, 128])
+    @pytest.mark.parametrize("n", [*range(1, 11), 60, 64, 90, 105, 120, 128,
+                                   210, 420])
     def test_matches_scalar_path(self, model, n):
         bits = all_bit_rows(n) if n <= 10 else periodic_and_random_rows(n)
         mask = singular_mask(bits, model)
@@ -530,7 +549,7 @@ class TestReport:
         assert (err.value.required, err.value.budget) == (12, 10)
 
     def test_budget_degradation(self):
-        rep = report(36, HALF, budgets=Budgets(enumeration=3, bruteforce=1000))
+        rep = report(36, HALF, enum_budget=3, brute_budget=1000)
         assert rep.exact_union is None
         assert rep.provenance == "absent-over-budget"
         omitted = dict(rep.omitted)
