@@ -4,12 +4,14 @@ the distribution maximum, and power sums with their large-n approximations.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from fractions import Fraction
 
 from .errors import BudgetExceededError
 
-#: Cap on n*m term-power operations for exact power sums, and on the
-#: exponent n of every exact value of dimension n.
+#: Cap on exponent * floor(log2 b) for every exact power of q = a/b: the
+#: n*m term-power operations of a power sum, the exponent n of every exact
+#: value of dimension n.
 POWER_SUM_BUDGET = 200_000
 
 
@@ -28,23 +30,27 @@ def _check_float_q(q) -> float:
     return qf
 
 
-def check_exponent(exponent: int, need: str) -> None:
-    """Refuse an exact power whose exponent exceeds POWER_SUM_BUDGET, read at
-    call time; ``need`` says what needs it, for the error message."""
-    if exponent > POWER_SUM_BUDGET:
+def check_exponent(exponent: int, q: Fraction, need: str) -> None:
+    """Refuse an exact power of q = a/b whose exponent times floor(log2 b),
+    about its bits, exceeds POWER_SUM_BUDGET, read at call time; ``need``
+    says what needs it, for the error message."""
+    bits = _check_exact_q(q).denominator.bit_length() - 1
+    if exponent * bits > POWER_SUM_BUDGET:
+        if bits > 1:
+            need += f" of {bits} bits each"
         raise BudgetExceededError(f"{need} (budget {POWER_SUM_BUDGET})",
-                                  required=exponent, budget=POWER_SUM_BUDGET)
+                                  required=exponent * bits, budget=POWER_SUM_BUDGET)
 
 
 def binom_pdf_exact(k: int, n: int, q: Fraction) -> Fraction:
     """Exact binomial mass q^k (1-q)^(n-k) C(n,k).
 
-    Refuses n above POWER_SUM_BUDGET: the exact mass has exponent n.
+    Refuses exponent n by ``check_exponent``: the exact mass is over b^n.
     """
     _check_exact_q(q)
     if not 0 <= k <= n:
         raise ValueError(f"k={k} outside [0, {n}]")
-    check_exponent(n, f"binomial mass for n={n} needs exponent {n}")
+    check_exponent(n, q, f"binomial mass for n={n} needs exponent {n}")
     return math.comb(n, k) * q**k * (1 - q) ** (n - k)
 
 
@@ -61,7 +67,7 @@ def binom_max(n: int, q: Fraction) -> Fraction:
     """Maximum over k of the binomial mass, attained at k = floor((n+1)q);
     when (n+1)q is an integer the mass at k - 1 ties with it.
 
-    Refuses n above POWER_SUM_BUDGET, as ``binom_pdf_exact`` does.
+    Refuses exponent n, as ``binom_pdf_exact`` does.
     """
     return binom_pdf_exact(math.floor((n + 1) * _check_exact_q(q)), n, q)
 
@@ -75,32 +81,31 @@ def demoivre_approx(k: int, n: int, q: float) -> float:
     return math.exp(-((k - n * qf) ** 2) / (2 * var)) / math.sqrt(2 * math.pi * var)
 
 
+def mass_numerators(n: int, q: Fraction) -> Iterator[int]:
+    """Numerators C(n,k) a^k (b-a)^(n-k) over b^n of the Binomial(n, a/b)
+    masses for k = 0..n, each computed from the last (the divisions are exact)."""
+    a, b = q.numerator, q.denominator
+    x = (b - a) ** n
+    for k in range(n + 1):
+        yield x
+        x = x * (n - k) * a // ((k + 1) * (b - a))
+
+
 def power_sum_exact(n: int, m: int, q: Fraction) -> Fraction:
     """Exact sum over k of the m-th power of the binomial mass.
 
-    Accumulates integer numerators over the common denominator
+    Streams the integer numerators over the common denominator
     denom(q)^(n*m), so no gcd work happens until the final reduction.
-    Refuses n*m above POWER_SUM_BUDGET.
+    Refuses exponent n*m by ``check_exponent``.
     """
     _check_exact_q(q)
     if m < 1:
         raise ValueError("m must be at least 1")
     if n < 0:
         raise ValueError("n must be nonnegative")
-    check_exponent(n * m, f"power sum needs {n * m} term-power operations")
-    a, b = q.numerator, q.denominator
-    c = b - a
-    num = 0
-    binom = 1       # C(n, k)
-    ak = 1          # a^k
-    cnk = c ** n    # (b-a)^(n-k)
-    for k in range(n + 1):
-        num += (binom * ak * cnk) ** m
-        if k < n:
-            binom = binom * (n - k) // (k + 1)
-            ak *= a
-            cnk //= c
-    return Fraction(num, b ** (n * m))
+    check_exponent(n * m, q, f"power sum needs {n * m} term-power operations")
+    return Fraction(sum(x ** m for x in mass_numerators(n, q)),
+                    q.denominator ** (n * m))
 
 
 def power_sum_asymptotic(n: int, m: int, q: float) -> float:

@@ -133,6 +133,8 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_asym(args) -> int:
     q = parse_q(args.q)
+    if args.signed and args.formula == "closed":
+        raise ValueError("--formula closed has no signed form; drop --signed")
     if args.signed:
         value = asym.approx_signed(args.n, q)
     elif args.formula == "closed":

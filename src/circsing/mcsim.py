@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from . import singexact
+from . import binomstats, singexact
 
 GENERATOR = "philox-4x64-10"
 
@@ -74,9 +74,7 @@ def sample_singularity(n: int, q, samples: int, seed: int,
         raise ValueError(f"shards={shards} exceeds samples={samples}")
     if not 0 <= seed < 2 ** 64:
         raise ValueError("seed must fit in 64 bits")
-    qf = float(q)
-    if not 0.0 < qf < 1.0:
-        raise ValueError(f"q={q} must lie strictly between 0 and 1")
+    qf = binomstats._check_float_q(q)
 
     # Each slice draws at most singexact.BATCH_BYTES raw Philox bytes (one
     # row takes 32 * ceil(n/4)).

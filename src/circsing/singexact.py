@@ -3,9 +3,10 @@
 Every per-divisor probability for d >= 2 comes from one engine: a radical
 reduction, then the binomial power sum when d is a prime power, or else a
 CRT image sum over the exact convolution of the image law.
-Unions over all divisors use closed forms for n in {prime, prime^2,
-prime*prime'}, and an exhaustive weighted enumeration of all 2^n rows as the
-independent fallback and oracle.  Every value is an exact Fraction.
+Unions over all divisors use one inclusion-exclusion over the prime-power
+divisor events for n in {prime, prime^2, prime*prime'}, and an exhaustive
+weighted enumeration of all 2^n rows as the independent fallback and oracle.
+Every value is an exact Fraction.
 """
 from __future__ import annotations
 
@@ -110,15 +111,16 @@ def prob_divisor_general(d: int, n: int, q: Fraction,
     Bruijn 1953), so P(k, n/e) = sum_v pi_m(v)^p for pi_m the image law under
     iid Binomial(n/d, q) entries: the binomial power sum when m = 1, else the
     convolution of the m coordinate laws, folded in one at a time.  Refuses
-    n above ``binomstats.POWER_SUM_BUDGET`` (the value is over b^n), and a fold
-    step that would take the (image, k) candidates visited past ``budget``.
+    exponent n by ``binomstats.check_exponent`` (the value is over b^n), and a
+    fold step that would take the (image, k) candidates visited past ``budget``.
     """
+    if n < 1:
+        raise ValueError("n must be positive")
     if d < 2:
         raise ValueError("d must be at least 2")
     if n % d:
         raise ValueError(f"{d} does not divide {n}")
-    binomstats._check_exact_q(q)
-    binomstats.check_exponent(n, f"divisor d={d} of n={n} needs exponent {n}")
+    binomstats.check_exponent(n, q, f"divisor d={d} of n={n} needs exponent {n}")
     *rest, p = sorted(polycyc.factorize(d))
     m = math.prod(rest)
     e, w = d // (p * m), n // d
@@ -133,11 +135,7 @@ def prob_divisor_general(d: int, n: int, q: Fraction,
     # visits (w + 1)^2 more candidates: refuse those before the masses exist.
     _check_work(w + 1, budget, d, n)
     _check_work((w + 1) * (w + 2), budget, d, n)
-    # Numerators over b^w of the Binomial(w, a/b) masses, each from the last.
-    a, b = q.numerator, q.denominator
-    mass = [(b - a) ** w]
-    for k in range(w):
-        mass.append(mass[-1] * (w - k) * a // ((k + 1) * (b - a)))
+    mass = list(binomstats.mass_numerators(w, q))
     law = {(0,) * (m - r): 1}
     visited = 0
     for step in steps:
@@ -151,16 +149,18 @@ def prob_divisor_general(d: int, n: int, q: Fraction,
     log.debug("CRT image sum d=%d n=%d: kept %d of %d candidates",
               d, n, len(law), visited)
     total = sum(num ** p for num in law.values())
-    return Fraction(total, b ** (m * w * p)) ** e
+    return Fraction(total, q.denominator ** (m * w * p)) ** e
 
 
 def prob_bounds(d: int, n: int, q: Fraction) -> tuple[Fraction | None, Fraction]:
     """Bounds M(q,n/d)^d <= P(d) <= M(q,n/d)^phi(d); lower only for prime d."""
+    if n < 1:
+        raise ValueError("n must be positive")
     if d < 2:
         raise ValueError("d must be at least 2")
     if n % d:
         raise ValueError(f"{d} does not divide {n}")
-    binomstats.check_exponent(n, f"bounds for d={d} of n={n} need exponent {n}")
+    binomstats.check_exponent(n, q, f"bounds for d={d} of n={n} need exponent {n}")
     mx = binomstats.binom_max(n // d, q)
     upper = mx ** polycyc.totient(d)
     lower = mx ** d if polycyc.is_prime(d) else None
@@ -170,27 +170,26 @@ def prob_bounds(d: int, n: int, q: Fraction) -> tuple[Fraction | None, Fraction]
 def prob_union_closed_form(n: int, q: Fraction) -> Fraction | None:
     """Exact binary union probability for n in {p, p^2, p*r}; else None.
 
-    Refuses those shapes above the exponent budget POWER_SUM_BUDGET.
+    For these n the union is that of the prime-power events Phi_d | f, d = p^a
+    dividing n (the d = 1 and d = n = p*r events lie inside them), and any two
+    of those meet only in the two constant rows: so the union is the sum of
+    P(d, n) = power_sum_exact(n/d, p, q)^(d/p) less (k - 1) times
+    q^n + (1-q)^n, for k such d.  Refuses exponent n by
+    ``binomstats.check_exponent``.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
     binomstats._check_exact_q(q)
     fac = polycyc.factorize(n)
-    shape = sorted(fac.values())
-    if shape not in ([1], [2], [1, 1]):
+    if sorted(fac.values()) not in ([1], [2], [1, 1]):
         return None
-    binomstats.check_exponent(n, f"closed-form union for n={n} needs exponent {n}")
-    if shape == [1]:
-        return q**n + (1 - q) ** n
-    if shape == [2]:
-        (p,) = fac
-        return ((q**p + (1 - q) ** p) ** p
-                + binomstats.power_sum_exact(p, p, q)
-                - q ** n - (1 - q) ** n)
-    p, r = sorted(fac)
-    return (binomstats.power_sum_exact(p, r, q)
-            + binomstats.power_sum_exact(r, p, q)
-            - q ** n - (1 - q) ** n)
+    binomstats.check_exponent(n, q, f"closed-form union for n={n} needs exponent {n}")
+    events = [(p, p ** a) for p, k in fac.items() for a in range(1, k + 1)]
+    union = sum(binomstats.power_sum_exact(n // d, p, q) ** (d // p)
+                for p, d in events)
+    if len(events) > 1:
+        union -= (len(events) - 1) * (q ** n + (1 - q) ** n)
+    return union
 
 
 #: float32 represents every integer of magnitude below this bound exactly.
@@ -303,14 +302,15 @@ def prob_union_bruteforce(n: int, q: Fraction, model: str = "binary",
         counts[0] = int(n >= 2)
         if n % 2 == 0:
             counts[n // 2] = math.comb(n, n // 2)
-    one_minus = 1 - q
-    return sum((Fraction(c) * q**w * one_minus**(n - w)
-                for w, c in enumerate(counts) if c),
-               start=Fraction(0))
+    a, b = q.numerator, q.denominator
+    return Fraction(sum(c * a ** w * (b - a) ** (n - w)
+                        for w, c in enumerate(counts) if c), b ** n)
 
 
 def signed_intersection_1_2(n: int, q: Fraction) -> Fraction:
     """Probability that a signed row hits both the d=1 and d=2 events."""
+    if n < 1:
+        raise ValueError("n must be positive")
     if n % 2:
         raise ValueError("n must be even")
     if n % 4:
@@ -323,6 +323,8 @@ def divisor_probability(d: int, n: int, q: Fraction, model: str = "binary",
                         budget: int = ENUMERATION_BUDGET) -> DivisorProbability:
     """Single divisor probability with the method that produced it: the one
     dispatch on d's factorization (the models differ only at d = 1)."""
+    if n < 1:
+        raise ValueError("n must be positive")
     _check_model(model)
     if d < 1 or n % d:
         raise ValueError(f"{d} does not divide {n}")
@@ -373,11 +375,11 @@ def report(n: int, q: Fraction, model: str = "binary", *,
     """Full singularity report for dimension n: per-divisor values, bounds,
     and the exact union via the best available strategy.
 
-    Every value has exponent n, so n above POWER_SUM_BUDGET refuses it whole.
+    Every value has exponent n, so ``binomstats.check_exponent`` refuses it whole.
     Below that, divisors over the work budget are listed in ``omitted`` and an
     out-of-budget union is left absent with provenance recording why.
     """
-    binomstats.check_exponent(n, f"report for n={n} needs exponent {n}")
+    binomstats.check_exponent(n, q, f"report for n={n} needs exponent {n}")
     union, provenance = exact_union(n, q, model, brute_budget)
     per: list[DivisorProbability] = []
     omitted: list[tuple[int, str]] = []

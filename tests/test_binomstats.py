@@ -181,3 +181,43 @@ class TestPowerSumAsymptotic:
             power_sum_asymptotic(10, 0, 0.5)
         with pytest.raises(ValueError):
             power_sum_asymptotic(10, 2, 1.5)
+
+
+class TestMassNumerators:
+    @pytest.mark.parametrize("q", [HALF, THIRD, Fraction(2, 7), Fraction(49, 50)])
+    def test_total_is_denominator_power(self, q):
+        for n in range(40):
+            assert sum(binomstats.mass_numerators(n, q)) == q.denominator ** n
+
+    @pytest.mark.parametrize("q", [Fraction(2, 7), Fraction(49, 50)])
+    def test_numerators_are_masses(self, q):
+        for n in range(13):
+            masses = [Fraction(x, q.denominator ** n)
+                      for x in binomstats.mass_numerators(n, q)]
+            assert masses == [binom_pdf_exact(k, n, q) for k in range(n + 1)]
+
+    @pytest.mark.parametrize("q", [Fraction(2, 7), Fraction(49, 50)])
+    @pytest.mark.parametrize("m", [1, 2, 3, 5])
+    def test_power_sum_against_naive(self, q, m):
+        for n in range(13):
+            assert power_sum_exact(n, m, q) == oracles.power_sum_naive(n, m, q)
+
+
+class TestExponentBits:
+    """The exponent budget weighs each power of q = a/b by floor(log2 b)."""
+
+    def test_bits_scale_the_exponent(self, monkeypatch):
+        monkeypatch.setattr(binomstats, "POWER_SUM_BUDGET", 40)
+        for q, limit in ((Fraction(1, 4), 20), (Fraction(1, 1024), 4),
+                         (Fraction(1, 3), 40), (Fraction(255, 256), 5)):
+            binomstats.check_exponent(limit, q, "x")
+            bits = q.denominator.bit_length() - 1
+            with pytest.raises(BudgetExceededError) as err:
+                binomstats.check_exponent(limit + 1, q, "x")
+            assert (err.value.required, err.value.budget) == ((limit + 1) * bits, 40)
+            assert str(err.value) == (f"x of {bits} bits each (budget 40)"
+                                      if bits > 1 else "x (budget 40)")
+
+    def test_float_q_is_a_usage_error(self):
+        with pytest.raises(ValueError, match="Fraction"):
+            binomstats.check_exponent(5, 0.25, "x")

@@ -330,3 +330,29 @@ class TestVerifyCommand:
         assert code == 0
         assert out.strip().startswith("algebra: PASS")
         assert err == ""
+
+
+@pytest.mark.parametrize("n", ["0", "-6"])
+@pytest.mark.parametrize("tail", [["divisor", "--d", "1"], ["divisor", "--d", "2"],
+                                  ["divisor", "--d", "6"], ["bounds", "--d", "2"],
+                                  ["bounds"]])
+def test_nonpositive_n_is_usage_error(capsys, n, tail):
+    argv = [tail[0], "--n", n, "--q", "1/2"] + tail[1:]
+    code, out, err = run_capture(capsys, argv)
+    assert code == 2 and out == ""
+    assert "n must be positive" in err
+
+
+def test_asym_signed_closed_is_usage_error(capsys):
+    argv = ["asym", "--n", "100", "--q", "0.5", "--signed", "--formula", "closed"]
+    code, out, err = run_capture(capsys, argv)
+    assert code == 2 and out == ""
+    assert "--formula closed" in err
+
+
+def test_exponent_budget_counts_bits(capsys):
+    # q = 10^-30 has a 99-bit denominator: 3000 * 99 bits pass 2 * 10^5
+    argv = ["divisor", "--n", "3000", "--d", "1", "--q", "1/" + "1" + "0" * 30]
+    code, out, err = run_capture(capsys, argv)
+    assert code == 3 and out == ""
+    assert "exponent 3000 of 99 bits each (budget 200000)" in err

@@ -583,3 +583,69 @@ class TestJson:
         assert data["provenance"] == "closed-form"
         d2 = next(b for b in cli.bounds_json(data["bounds"]) if b["d"] == 2)
         assert d2["lower"] is not None and d2["upper"] is not None
+
+
+class TestClosedFormIdentity:
+    """The closed form is one inclusion-exclusion over prime-power events."""
+
+    @pytest.mark.parametrize("q", [Fraction(2, 7), Fraction(49, 50)])
+    def test_matches_bruteforce(self, q):
+        for n in (4, 6, 9, 10, 15, 21, 22, 25):
+            assert prob_union_closed_form(n, q) == prob_union_bruteforce(n, q)
+
+
+class TestNonpositiveN:
+    @pytest.mark.parametrize("n", [0, -6])
+    def test_divisor_layer_refuses(self, n):
+        calls = [lambda: prob_divisor_general(2, n, HALF),
+                 lambda: prob_divisor_general(6, n, HALF),
+                 lambda: prob_bounds(2, n, HALF),
+                 lambda: divisor_probability(1, n, HALF),
+                 lambda: divisor_probability(2, n, HALF, "signed"),
+                 lambda: divisor_probability(6, n, HALF),
+                 lambda: signed_intersection_1_2(n, HALF)]
+        for call in calls:
+            with pytest.raises(ValueError, match="n must be positive"):
+                call()
+
+
+# (q, site, largest n inside a budget of 40 bits, smallest n past it)
+EXPONENT_SITES = {
+    "binom_pdf_exact": lambda n, q: binomstats.binom_pdf_exact(0, n, q),
+    "power_sum_exact": lambda n, q: binomstats.power_sum_exact(n, 1, q),
+    "prob_divisor_general": lambda n, q: prob_divisor_general(2, n, q),
+    "prob_bounds": lambda n, q: prob_bounds(2, n, q),
+    "prob_union_closed_form": lambda n, q: prob_union_closed_form(n, q),
+    "report": lambda n, q: report(n, q),
+}
+EXPONENT_CASES = [
+    (Fraction(1, 4), "binom_pdf_exact", 20, 21),
+    (Fraction(1, 4), "power_sum_exact", 20, 21),
+    (Fraction(1, 4), "prob_divisor_general", 20, 22),
+    (Fraction(1, 4), "prob_bounds", 20, 22),
+    (Fraction(1, 4), "prob_union_closed_form", 19, 21),
+    (Fraction(1, 4), "report", 19, 21),
+    (Fraction(1, 1024), "binom_pdf_exact", 4, 5),
+    (Fraction(1, 1024), "power_sum_exact", 4, 5),
+    (Fraction(1, 1024), "prob_divisor_general", 4, 6),
+    (Fraction(1, 1024), "prob_bounds", 4, 6),
+    (Fraction(1, 1024), "prob_union_closed_form", 4, 5),
+    (Fraction(1, 1024), "report", 4, 5),
+]
+
+
+@pytest.mark.parametrize("q, site, inside, past", EXPONENT_CASES)
+def test_exponent_budget_counts_bits(monkeypatch, q, site, inside, past):
+    monkeypatch.setattr(binomstats, "POWER_SUM_BUDGET", 40)
+    bits = q.denominator.bit_length() - 1
+    assert EXPONENT_SITES[site](inside, q) is not None
+    with pytest.raises(BudgetExceededError, match=f"of {bits} bits each") as err:
+        EXPONENT_SITES[site](past, q)
+    assert (err.value.required, err.value.budget) == (past * bits, 40)
+
+
+@pytest.mark.parametrize("call", [lambda: prob_bounds(2, 4, 0.5),
+                                  lambda: report(4, 0.5)])
+def test_exponent_check_still_wants_fraction(call):
+    with pytest.raises(ValueError, match="Fraction"):
+        call()
