@@ -3,11 +3,13 @@ diagnostics against the exact values.
 """
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import math
 from fractions import Fraction
 
 from . import binomstats, polycyc, singexact
+from .errors import BudgetExceededError
 
 # With rational q and n at or below this, the dominant-divisor sum is
 # evaluated exactly and only then rounded to float.
@@ -28,19 +30,21 @@ class AsymptoticValue:
 def approx_main(n: int, q) -> AsymptoticValue:
     """Dominant-divisor approximation: sum_k mass(k, n/p)^p for p = p(n).
 
-    Exact (then rounded once) for rational q and small n; summed in the
-    log domain for float q; replaced by the power-sum approximation when
-    the number of summands exceeds FLOAT_SUM_LIMIT, which the formula tag
-    records.  For prime n the value is the exact union probability.
+    Exact (then rounded once) for rational q and small n that the exponent
+    budget admits; summed in the log domain otherwise; replaced by the
+    power-sum approximation when the number of summands exceeds
+    FLOAT_SUM_LIMIT, which the formula tag records.  For prime n the value
+    is the exact union probability.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
     p = polycyc.smallest_prime(n)
     terms = n // p
     if isinstance(q, Fraction) and n <= EXACT_SUM_LIMIT:
-        value = float(binomstats.power_sum_exact(terms, p, q))
-        return AsymptoticValue(n=n, q=float(q), model="binary", value=value,
-                               formula="main-theorem")
+        with contextlib.suppress(BudgetExceededError):
+            value = float(binomstats.power_sum_exact(terms, p, q))
+            return AsymptoticValue(n=n, q=float(q), model="binary", value=value,
+                                   formula="main-theorem")
     qf = binomstats._check_float_q(q)
     if terms <= FLOAT_SUM_LIMIT:
         value = math.fsum(

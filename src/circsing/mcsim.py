@@ -44,9 +44,9 @@ def _sample_bits(seed: int, n: int, start: int, count: int, q: float) -> np.ndar
     bitgen.advance(start * bps)
     raw = bitgen.random_raw(count * bps * 4)
     # The 53-bit test in integers (see the module docstring); q < 1 keeps
-    # the threshold below 2^64.
+    # the threshold below 2^64.  The bool result is viewed, not copied, as 0/1.
     threshold = np.uint64(math.ceil(q * 2.0 ** 53) << 11)
-    return (raw.reshape(count, bps * 4)[:, :n] < threshold).astype(np.int8)
+    return (raw.reshape(count, bps * 4)[:, :n] < threshold).view(np.int8)
 
 
 def shard_sizes(samples: int, shards: int) -> list[int]:

@@ -91,13 +91,12 @@ class ProbabilityReport:
     omitted: tuple[tuple[int, str], ...] = ()
 
 
-def _check_work(visited: int, budget: int, d: int, n: int) -> int:
-    """Refuse once the CRT convolution's visited candidates pass ``budget``."""
+def _check_work(visited: int, budget: int, d: int, n: int) -> None:
+    """Refuse once the CRT convolution must visit more than ``budget``."""
     if visited > budget:
         raise BudgetExceededError(
             f"CRT image sum for d={d}, n={n} visits {visited} "
             f"candidates (budget {budget})", required=visited, budget=budget)
-    return visited
 
 
 def prob_divisor_general(d: int, n: int, q: Fraction,
@@ -111,8 +110,8 @@ def prob_divisor_general(d: int, n: int, q: Fraction,
     Bruijn 1953), so P(k, n/e) = sum_v pi_m(v)^p for pi_m the image law under
     iid Binomial(n/d, q) entries: the binomial power sum when m = 1, else the
     convolution of the m coordinate laws, folded in one at a time.  Refuses
-    exponent n by ``binomstats.check_exponent`` (the value is over b^n), and a
-    fold step that would take the (image, k) candidates visited past ``budget``.
+    exponent n by ``binomstats.check_exponent`` (the value is over b^n), and
+    a fold step once the (image, k) candidates visited must pass ``budget``.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -138,8 +137,10 @@ def prob_divisor_general(d: int, n: int, q: Fraction,
     mass = list(binomstats.mass_numerators(w, q))
     law = {(0,) * (m - r): 1}
     visited = 0
-    for step in steps:
-        visited = _check_work(visited + len(law) * (w + 1), budget, d, n)
+    for i, step in enumerate(steps):
+        # Each image keeps its k = 0 term: every step left visits >= this step.
+        _check_work(visited + len(law) * (w + 1) * (len(steps) - i), budget, d, n)
+        visited += len(law) * (w + 1)
         folded: dict[tuple[int, ...], int] = {}
         for image, num in law.items():
             for k, mk in enumerate(mass):
@@ -214,6 +215,34 @@ def _float_basis(d: int, w: int) -> np.ndarray:
     return a
 
 
+@functools.lru_cache(maxsize=None)
+def _screen(n: int) -> tuple[dict[int, int], np.ndarray]:
+    """{d: column} and the float32 matrix of the screen in ``singular_mask``.
+
+    Column tile(v, n/d), v = (-A c ; c) for A = hnf_basis(d), maps a row s
+    with fold f to (f[r:] - f[:r] @ A) . c, which is 0 if Phi_d divides s.
+    c is fixed and random, of the widest width (20 bits down to 1) whose
+    column's absolute sum, a bound on every partial sum for a 0/1 row, stays
+    below ``FLOAT32_EXACT``; a d no width fits, or whose ``_float_basis`` is
+    refused, gets no column.
+    """
+    cols, tiles = {}, []
+    for d in polycyc.divisors(n)[:0:-1]:
+        w = n // d
+        try:
+            a = _float_basis(d, w).astype(np.int64)  # |A| bounded: int64 exact
+        except BudgetExceededError:
+            continue
+        u = np.random.default_rng(d).integers(1 << 19, 1 << 20, d - len(a))
+        c = u >> np.arange(20)[:, None]
+        v = np.hstack([-(c @ a.T), c])
+        fits = np.flatnonzero(w * np.abs(v).sum(axis=1) < FLOAT32_EXACT)
+        if len(fits):
+            cols[d] = len(tiles)
+            tiles.append(np.tile(v[fits[0]], w))
+    return cols, np.array(tiles, dtype=np.float32).reshape(-1, n).T
+
+
 def singular_mask(bits: np.ndarray, model: str = "binary") -> np.ndarray:
     """Exact singularity verdicts for a batch of first rows.
 
@@ -224,37 +253,29 @@ def singular_mask(bits: np.ndarray, model: str = "binary") -> np.ndarray:
     test lattice membership s[rank:] == s[:rank] @ A, exactly.  Equivalent
     to ``polycyc.singular_divisors`` being nonempty, row by row.
 
-    The rows are cast to float32 once.  Divisors d >= 2 are visited in
-    decreasing order, and each d is folded from the fold of its smallest
-    multiple D = d*p among the divisors (p the least prime of n/d) by adding
-    the p contiguous column blocks of width d; a fold is dropped after its
-    last reader.  Fold entries lie in [0, n/d], so the float32 BLAS product
-    is exact while (n/d) * (1 + max column sum of |A|) < ``FLOAT32_EXACT``
+    The rows are screened by one exact float32 BLAS product with the
+    ``_screen`` columns: Phi_d divides no row whose product for d is
+    nonzero.  Divisors d >= 2 are then visited in decreasing order, and only
+    the rows not yet singular that pass d's screen (all of them, for a d
+    without a column) are folded, in float32, and tested.  Fold entries lie
+    in [0, n/d], so the float32 BLAS test is exact while
+    (n/d) * (1 + max column sum of |A|) < ``FLOAT32_EXACT``
     (``_float_basis`` refuses otherwise).
     """
     _check_model(model)
     n = bits.shape[1]
     weight = bits.sum(axis=1, dtype=np.int32)
     mask = weight == 0 if model == "binary" else 2 * weight == n
-    down = polycyc.divisors(n)[:0:-1]
-    source = {d: d * polycyc.smallest_prime(n // d) for d in down[1:]}
-    last_reader = {big: d for d, big in source.items()}  # smallest d wins
-    folds: dict[int, np.ndarray] = {}
-    g = bits.astype(np.float32)
-    for d in down:
+    cols, proj = _screen(n)
+    hit = (bits.astype(np.float32) @ proj) == 0
+    for d in polycyc.divisors(n)[:0:-1]:
         if mask.all():
             break
-        if d < n:
-            big_d = source[d]
-            big = folds.pop(big_d) if last_reader[big_d] == d else folds[big_d]
-            g = big[:, :d] + big[:, d:2 * d]
-            for k in range(2 * d, big_d, d):
-                g += big[:, k:k + d]
-        if d in last_reader:
-            folds[d] = g
         a = _float_basis(d, n // d)
         r = len(a)
-        mask |= (g[:, r:] == g[:, :r] @ a).all(axis=1)
+        rows = np.flatnonzero(hit[:, cols[d]] & ~mask if d in cols else ~mask)
+        f = bits[rows].reshape(-1, n // d, d).sum(axis=1, dtype=np.float32)
+        mask[rows] = (f[:, r:] == f[:, :r] @ a).all(axis=1)
     return mask
 
 

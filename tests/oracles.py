@@ -8,8 +8,9 @@ sum is an independent route to two-prime divisor probabilities, box
 enumeration over the lattice basis is an independent route to every divisor
 probability, enumeration of the CRT image vectors is a second route for
 every d with two or more primes, the chunked decimal conversion checks
-output past the int-to-str digit limit, and the float form of the 53-bit
-threshold test checks the Monte-Carlo row generator.
+output past the int-to-str digit limit, the float form of the 53-bit
+threshold test checks the Monte-Carlo row generator, and the fold-down
+mask, which tests every row at every divisor, checks the screened mask.
 """
 from __future__ import annotations
 
@@ -24,8 +25,9 @@ import numpy as np
 
 from circsing.binomstats import _check_exact_q
 from circsing.errors import BudgetExceededError
-from circsing.polycyc import FirstRow, factorize, singular_divisors
-from circsing.singexact import ENUMERATION_BUDGET, hnf_basis
+from circsing.polycyc import (FirstRow, divisors, factorize, singular_divisors,
+                              smallest_prime)
+from circsing.singexact import ENUMERATION_BUDGET, _float_basis, hnf_basis
 
 log = logging.getLogger(__name__)
 
@@ -268,6 +270,37 @@ def sample_bits_by_uniforms(seed: int, n: int, start: int, count: int,
     bitgen.advance(start * bps)
     raw = bitgen.random_raw(count * bps * 4).reshape(count, bps * 4)[:, :n]
     return ((raw >> np.uint64(11)) * 2.0 ** -53 < q).astype(np.int8)
+
+
+def fold_down_mask(bits: np.ndarray, signed: bool = False) -> np.ndarray:
+    """Singularity verdicts with no screen: every row is folded to every
+    divisor d >= 2 of n and tested s[rank:] == s[:rank] @ A in float32.
+
+    Each d is folded from the fold of its smallest multiple D = d*p among the
+    divisors (p the least prime of n/d) by adding the p column blocks of
+    width d; a fold is dropped after its last reader.
+    """
+    n = bits.shape[1]
+    weight = bits.sum(axis=1, dtype=np.int32)
+    mask = 2 * weight == n if signed else weight == 0
+    down = divisors(n)[:0:-1]
+    source = {d: d * smallest_prime(n // d) for d in down[1:]}
+    last_reader = {big: d for d, big in source.items()}  # smallest d wins
+    folds: dict[int, np.ndarray] = {}
+    g = bits.astype(np.float32)
+    for d in down:
+        if d < n:
+            big_d = source[d]
+            big = folds.pop(big_d) if last_reader[big_d] == d else folds[big_d]
+            g = big[:, :d] + big[:, d:2 * d]
+            for k in range(2 * d, big_d, d):
+                g += big[:, k:k + d]
+        if d in last_reader:
+            folds[d] = g
+        a = _float_basis(d, n // d)
+        r = len(a)
+        mask |= (g[:, r:] == g[:, :r] @ a).all(axis=1)
+    return mask
 
 
 def max_pdf_by_scan(n: int, q: Fraction) -> tuple[int, Fraction]:

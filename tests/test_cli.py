@@ -120,6 +120,21 @@ class TestAsymCommand:
         assert code == 0
         assert json.loads(out)["formula"] == "signed-corollary"
 
+    def test_wide_denominator_falls_back_to_float_sum(self, capsys):
+        # the exact power sum at n = 4096 needs 4096 powers of 99 bits each,
+        # past the exponent budget: the float sum answers, as at n = 4097
+        q = "1/" + "1" + "0" * 30
+        code, out, _ = run_capture(capsys, ["asym", "--n", "4096", "--q", q])
+        assert code == 0
+        data = json.loads(out)
+        assert data["value"] == asym.approx_main(4096, 1e-30).value
+        assert data["formula"] == "main-theorem"
+        code, out, _ = run_capture(
+            capsys, ["table", "--n-range", "4094:4096:2", "--q", q])
+        assert code == 0
+        assert [row.approx for row in table_from_csv(out)] == [
+            asym.approx_main(n, 1e-30).value for n in (4094, 4096)]
+
     def test_closed_rejects_prime(self, capsys):
         code, _, err = run_capture(
             capsys, ["asym", "--n", "13", "--q", "0.5", "--formula", "closed"])

@@ -8,7 +8,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from circsing import asym, binomstats, cli, polycyc, singexact
+from circsing import asym, binomstats, cli, mcsim, polycyc, singexact
 from circsing.errors import BudgetExceededError
 from circsing.polycyc import FirstRow, cyclotomic, singular_divisors
 from circsing.singexact import (divisor_probability, exact_union, hnf_basis,
@@ -266,18 +266,43 @@ class TestGeneralDivisor:
 
     def test_work_budget_refuses_quickly(self):
         # d = n = 667 = 29 * 23: m = 23, w = 1, and the law doubles at each
-        # of the first fold steps, so it refuses after 2 + 4 + ... + 2^9
-        # visited candidates; at the default budget its law would take GBs
+        # of the first fold steps; before step 5 it has visited 2 + ... + 2^5
+        # and its 2^5 images need 2^6 more at each of the 18 steps left, so
+        # it refuses there; at the default budget its law would take GBs
         start = time.perf_counter()
         with pytest.raises(BudgetExceededError) as err:
             prob_divisor_general(667, 667, THIRD, budget=1000)
-        assert (err.value.required, err.value.budget) == (1022, 1000)
+        assert (err.value.required, err.value.budget) == (62 + 64 * 18, 1000)
         # d = 6 at n = 199998: w = 33333, and step 1 would visit (w + 1)^2
         # candidates; refused before the w + 1 masses of ~w*log2(3) bits exist
         with pytest.raises(BudgetExceededError) as err:
             prob_divisor_general(6, 199998, THIRD)
         assert err.value.required == 33334 + 33334 ** 2
         assert time.perf_counter() - start < 10
+
+    def test_refusal_set_is_total_work_within_budget(self, caplog):
+        # refusing as soon as the steps left must pass the budget refuses
+        # exactly the values whose full run visits more than the budget; a
+        # prime power (m = 1) visits none and always resolves; the budgets
+        # one below and at each full count are the sharpest
+        cases = [(d, n) for n in range(2, 61) for d in polycyc.divisors(n)[1:]]
+        with caplog.at_level(logging.DEBUG, logger="circsing.singexact"):
+            full = {}
+            for d, n in cases:
+                caplog.clear()
+                value = prob_divisor_general(d, n, THIRD)
+                logged = [int(re.search(r"of (\d+) candidates", rec.getMessage())[1])
+                          for rec in caplog.records]
+                full[d, n] = value, sum(logged)
+        for (d, n), (value, visited) in full.items():
+            for budget in (10, 10 ** 2, 10 ** 3, 10 ** 4,
+                           max(visited - 1, 0), visited):
+                if visited <= budget:
+                    assert prob_divisor_general(d, n, THIRD, budget) == value
+                else:
+                    with pytest.raises(BudgetExceededError) as err:
+                        prob_divisor_general(d, n, THIRD, budget)
+                    assert budget < err.value.required <= visited
 
     def test_engine_exponent_budget(self, monkeypatch):
         # every divisor value of dimension n is a fraction over b^n: d = 6 at
@@ -428,6 +453,62 @@ class TestSingularMask:
                 singular_mask(periodic_and_random_rows(12))
         finally:
             singexact._float_basis.cache_clear()
+
+    @pytest.fixture
+    def narrow_bound(self, monkeypatch):
+        """Set ``FLOAT32_EXACT`` for the test with cold basis and screen caches."""
+        def narrow(bound):
+            monkeypatch.setattr(singexact, "FLOAT32_EXACT", bound)
+            singexact._float_basis.cache_clear()
+            singexact._screen.cache_clear()
+        yield narrow
+        singexact._float_basis.cache_clear()
+        singexact._screen.cache_clear()
+
+    def scalar_divisors(self, bits, signed=False):
+        n = bits.shape[1]
+        return [set(singular_divisors(FirstRow(n, tuple(row)), signed=signed))
+                for row in bits.tolist()]
+
+    def test_screen_passes_rows_the_exact_test_rejects(self, narrow_bound):
+        # at the default bound no row of n <= 16 passes a screen falsely; a
+        # bound of 64 narrows every c_d to a few bits, so many rows do
+        narrow_bound(64)
+        bits = all_bit_rows(12)
+        cols, proj = singexact._screen(12)
+        hit = (bits.astype(np.float32) @ proj) == 0
+        want = self.scalar_divisors(bits)
+        passed_falsely = 0
+        for d, j in cols.items():
+            singular = np.array([d in divs for divs in want])
+            assert not (singular & ~hit[:, j]).any()
+            passed_falsely += int((hit[:, j] & ~singular).sum())
+        assert passed_falsely > 0
+        for model in ("binary", "signed"):
+            got = singular_mask(bits, model)
+            want_model = self.scalar_divisors(bits, signed=(model == "signed"))
+            assert got.tolist() == [bool(divs) for divs in want_model]
+
+    @pytest.mark.parametrize("model", ["binary", "signed"])
+    def test_divisor_without_column_takes_exact_test(self, narrow_bound, model):
+        # n = 12 at a bound of 13: every float32 basis fits (d = 2 reaches
+        # 6 * 2 = 12), but d = 3 needs 4 * (2 + 2) = 16 even with c = (1, 1)
+        narrow_bound(13)
+        cols, _ = singexact._screen(12)
+        assert 3 not in cols and 2 in cols
+        bits = all_bit_rows(12)
+        want = self.scalar_divisors(bits, signed=(model == "signed"))
+        assert singular_mask(bits, model).tolist() == [bool(d) for d in want]
+
+    @pytest.mark.parametrize("model", ["binary", "signed"])
+    @pytest.mark.parametrize("n, q", [(120, 0.5), (127, 0.02), (128, 0.5),
+                                      (210, 0.5)])
+    def test_matches_fold_down_oracle(self, model, n, q):
+        signed = model == "signed"
+        for start in range(0, 1 << 16, 1 << 13):
+            bits = mcsim._sample_bits(7, n, start, 1 << 13, q)
+            got = singular_mask(bits, model)
+            assert np.array_equal(got, oracles.fold_down_mask(bits, signed))
 
 
 class TestSignedOps:
