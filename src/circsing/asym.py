@@ -108,7 +108,8 @@ def convergence_table(q, n_list, model: str = "binary",
 
     Exact values come from the union ladder ``singexact.exact_union`` and
     are absent when no exact strategy fits (the exhaustive union is capped
-    at ``budget`` rows) or when q is not rational; the ratio column is
+    at ``budget`` rows, every value by the exponent budget) or when q is not
+    rational; the ratio column is
     exact/approx as a float, absent when either is absent.  When the
     dominant-divisor sum underflows to 0.0, the ratio divides by that sum
     as an exact Fraction instead.
@@ -121,7 +122,8 @@ def convergence_table(q, n_list, model: str = "binary",
         av = approx_signed(n, q) if model == "signed" else approx_main(n, q)
         exact = None
         if isinstance(q, Fraction):
-            exact = singexact.exact_union(n, q, model, budget)[0]
+            with contextlib.suppress(BudgetExceededError):
+                exact = singexact.exact_union(n, q, model, budget)[0]
         if exact is None:
             ratio = None
         elif av.value == 0.0 and av.formula == "main-theorem":

@@ -5,7 +5,8 @@ reduction, then the binomial power sum when d is a prime power, or else a
 CRT image sum over the exact convolution of the image law.
 Unions over all divisors use one inclusion-exclusion over the prime-power
 divisor events for n in {prime, prime^2, prime*prime'}, and an exhaustive
-weighted enumeration of all 2^n rows as the independent fallback and oracle.
+weighted enumeration of the 2^n rows, half of them by complement symmetry,
+as the independent fallback and oracle.
 Every value is an exact Fraction.
 """
 from __future__ import annotations
@@ -25,12 +26,12 @@ log = logging.getLogger(__name__)
 
 #: Default cap on (image, k) candidates the CRT convolution visits per divisor.
 ENUMERATION_BUDGET = 10_000_000
-#: Default cap on rows for the exhaustive union enumeration.
+#: Default cap on rows the exhaustive union enumerates: 2^(n-1) for dimension n.
 BRUTEFORCE_BUDGET = 1 << 26
 
-#: Byte bound on one batch of rows for ``singular_mask``: it caps the raw
-#: Philox bytes of an MC slice and the float32 copy of a union chunk, which
-#: bounds memory for every n.
+#: Byte bound on one batch of rows: it caps the raw Philox bytes of an MC
+#: slice and a union chunk's rows at 4n bytes each, which bounds memory for
+#: every n.
 BATCH_BYTES = 1 << 24
 
 MODELS = ("binary", "signed")
@@ -217,7 +218,8 @@ def _float_basis(d: int, w: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=None)
 def _screen(n: int) -> tuple[dict[int, int], np.ndarray]:
-    """{d: column} and the float32 matrix of the screen in ``singular_mask``.
+    """{d: column} and the float32 matrix of the screen, whose product with
+    the rows is the ``hit`` of ``_confirm``.
 
     Column tile(v, n/d), v = (-A c ; c) for A = hnf_basis(d), maps a row s
     with fold f to (f[r:] - f[:r] @ A) . c, which is 0 if Phi_d divides s.
@@ -243,6 +245,31 @@ def _screen(n: int) -> tuple[dict[int, int], np.ndarray]:
     return cols, np.array(tiles, dtype=np.float32).reshape(-1, n).T
 
 
+def _confirm(bits: np.ndarray, mask: np.ndarray, hit: np.ndarray) -> np.ndarray:
+    """The exact per-divisor test of the rows that pass the screen; returns
+    ``mask``, updated in place.
+
+    ``mask`` holds the verdicts so far and ``hit`` the screen, one column per
+    ``_screen`` divisor.  Divisors d >= 2 are visited in decreasing order,
+    and only the rows not yet singular that pass d's screen (all of them, for
+    a d without a column) are folded, in float32, and tested s[r:] ==
+    s[:r] @ A.  Fold entries lie in [0, n/d], so the float32 BLAS test is
+    exact while (n/d) * (1 + max column sum of |A|) < ``FLOAT32_EXACT``
+    (``_float_basis`` refuses otherwise).
+    """
+    n = bits.shape[1]
+    cols, _ = _screen(n)
+    for d in polycyc.divisors(n)[:0:-1]:
+        if mask.all():
+            break
+        a = _float_basis(d, n // d)
+        r = len(a)
+        rows = np.flatnonzero(hit[:, cols[d]] & ~mask if d in cols else ~mask)
+        f = bits[rows].reshape(-1, n // d, d).sum(axis=1, dtype=np.float32)
+        mask[rows] = (f[:, r:] == f[:, :r] @ a).all(axis=1)
+    return mask
+
+
 def singular_mask(bits: np.ndarray, model: str = "binary") -> np.ndarray:
     """Exact singularity verdicts for a batch of first rows.
 
@@ -255,55 +282,60 @@ def singular_mask(bits: np.ndarray, model: str = "binary") -> np.ndarray:
 
     The rows are screened by one exact float32 BLAS product with the
     ``_screen`` columns: Phi_d divides no row whose product for d is
-    nonzero.  Divisors d >= 2 are then visited in decreasing order, and only
-    the rows not yet singular that pass d's screen (all of them, for a d
-    without a column) are folded, in float32, and tested.  Fold entries lie
-    in [0, n/d], so the float32 BLAS test is exact while
-    (n/d) * (1 + max column sum of |A|) < ``FLOAT32_EXACT``
-    (``_float_basis`` refuses otherwise).
+    nonzero.  ``_confirm`` then tests the rows that pass.
     """
     _check_model(model)
     n = bits.shape[1]
     weight = bits.sum(axis=1, dtype=np.int32)
     mask = weight == 0 if model == "binary" else 2 * weight == n
-    cols, proj = _screen(n)
-    hit = (bits.astype(np.float32) @ proj) == 0
-    for d in polycyc.divisors(n)[:0:-1]:
-        if mask.all():
-            break
-        a = _float_basis(d, n // d)
-        r = len(a)
-        rows = np.flatnonzero(hit[:, cols[d]] & ~mask if d in cols else ~mask)
-        f = bits[rows].reshape(-1, n // d, d).sum(axis=1, dtype=np.float32)
-        mask[rows] = (f[:, r:] == f[:, :r] @ a).all(axis=1)
-    return mask
+    _, proj = _screen(n)
+    return _confirm(bits, mask, (bits.astype(np.float32) @ proj) == 0)
 
 
 @functools.lru_cache(maxsize=64)
 def _singular_weight_counts(n: int) -> tuple[int, ...]:
     """Count singular binary rows among all 2^n, grouped by number of one bits.
 
-    The rows go in chunks of 2^low, the most whose float32 copy (4n bytes a
-    row) fits ``BATCH_BYTES``: the low bit columns are filled once and shared
-    by every chunk, the high ones are rewritten per chunk.
+    Only the 2^(n-1) rows b with b[n-1] = 0 are tested, for n >= 2: b and
+    its complement J - b, of weight n - w for b's w, share every d >= 2
+    event (Phi_d divides J), and the d = 1 event, b = 0, has the singular
+    complement J, so each count c over weights adds c + c[::-1].
+
+    The rows go in chunks of 2^low, the most that fit ``BATCH_BYTES`` at 4n
+    bytes a row: the low bit columns are filled once and shared
+    by every chunk, the high ones are rewritten per chunk.  The screen is
+    linear, so the low columns' projection is computed once too, and each
+    chunk adds its high columns' projection, one vector, to it; every
+    partial sum is bounded by the column's absolute sum, which ``_screen``
+    keeps below ``FLOAT32_EXACT``, so the sum is exact.
     """
-    low = min(n, (BATCH_BYTES // (4 * n)).bit_length() - 1)
+    if n == 1:
+        return (1, 0)
+    low = min(n - 1, (BATCH_BYTES // (4 * n)).bit_length() - 1)
     idx = np.arange(1 << low)
-    bits = np.empty((1 << low, n), dtype=np.int8)
+    bits = np.zeros((1 << low, n), dtype=np.int8)
     for j in range(low):
         bits[:, j] = (idx >> j) & 1
     low_weight = bits[:, :low].sum(axis=1, dtype=np.int64)
+    _, proj = _screen(n)
+    low_proj = bits[:, :low] @ proj[:low]
     counts = np.zeros(n + 1, dtype=np.int64)
-    for high in range(1 << (n - low)):
-        bits[:, low:] = [(high >> j) & 1 for j in range(n - low)]
-        sel = singular_mask(bits)
-        counts += np.bincount(low_weight[sel] + high.bit_count(), minlength=n + 1)
+    for high in range(1 << (n - 1 - low)):
+        high_bits = np.array([(high >> j) & 1 for j in range(n - 1 - low)],
+                             dtype=np.int8)
+        bits[:, low:n - 1] = high_bits
+        hit = (low_proj + high_bits @ proj[low:n - 1]) == 0
+        weight = low_weight + high.bit_count()
+        c = np.bincount(weight[_confirm(bits, weight == 0, hit)], minlength=n + 1)
+        counts += c + c[::-1]
     return tuple(int(c) for c in counts)
 
 
 def prob_union_bruteforce(n: int, q: Fraction, model: str = "binary",
                           budget: int = BRUTEFORCE_BUDGET) -> Fraction:
-    """Exact union probability by enumerating all 2^n rows.
+    """Exact union probability by enumerating the 2^n rows, of which the
+    2^(n-1) with top bit 0 are tested (``_singular_weight_counts``) and
+    counted against ``budget``.
 
     Each row is weighted q^w (1-q)^(n-w) where w counts the one bits of
     the underlying Bernoulli vector, in both models.
@@ -312,10 +344,11 @@ def prob_union_bruteforce(n: int, q: Fraction, model: str = "binary",
     if n < 1:
         raise ValueError("n must be positive")
     binomstats._check_exact_q(q)
-    if 2 ** n > budget:
+    rows = 1 << (n - 1)
+    if rows > budget:
         raise BudgetExceededError(
-            f"brute force for n={n} needs {2**n} rows (budget {budget})",
-            required=2**n, budget=budget)
+            f"brute force for n={n} needs {rows} rows (budget {budget})",
+            required=rows, budget=budget)
     counts = list(_singular_weight_counts(n))
     if model == "signed":
         # The models differ only in the d = 1 event (see singular_mask): the
@@ -369,8 +402,8 @@ def divisor_probability(d: int, n: int, q: Fraction, model: str = "binary",
 def exact_union(n: int, q: Fraction, model: str = "binary",
                 budget: int = BRUTEFORCE_BUDGET) -> tuple[Fraction | None, str]:
     """Exact union over all divisors with its provenance: a trivial or closed
-    form, else the exhaustive 2^n enumeration within ``budget`` rows, else
-    None with ``absent-over-budget``."""
+    form, else the exhaustive enumeration if its 2^(n-1) rows are within
+    ``budget``, else None with ``absent-over-budget``."""
     _check_model(model)
     if n < 1:
         raise ValueError("n must be positive")
@@ -385,7 +418,7 @@ def exact_union(n: int, q: Fraction, model: str = "binary",
         value = prob_union_closed_form(n, q)
         if value is not None:
             return value, "closed-form"
-    if 2 ** n <= budget:
+    if 1 << (n - 1) <= budget:
         return prob_union_bruteforce(n, q, model, budget), "brute-force"
     return None, "absent-over-budget"
 

@@ -9,8 +9,9 @@ enumeration over the lattice basis is an independent route to every divisor
 probability, enumeration of the CRT image vectors is a second route for
 every d with two or more primes, the chunked decimal conversion checks
 output past the int-to-str digit limit, the float form of the 53-bit
-threshold test checks the Monte-Carlo row generator, and the fold-down
-mask, which tests every row at every divisor, checks the screened mask.
+threshold test checks the Monte-Carlo row generator, the fold-down mask,
+which tests every row at every divisor, checks the screened mask, and the
+full enumeration of all 2^n rows checks the union's half enumeration.
 """
 from __future__ import annotations
 
@@ -27,7 +28,8 @@ from circsing.binomstats import _check_exact_q
 from circsing.errors import BudgetExceededError
 from circsing.polycyc import (FirstRow, divisors, factorize, singular_divisors,
                               smallest_prime)
-from circsing.singexact import ENUMERATION_BUDGET, _float_basis, hnf_basis
+from circsing.singexact import (ENUMERATION_BUDGET, _float_basis, hnf_basis,
+                                singular_mask)
 
 log = logging.getLogger(__name__)
 
@@ -301,6 +303,19 @@ def fold_down_mask(bits: np.ndarray, signed: bool = False) -> np.ndarray:
         r = len(a)
         mask |= (g[:, r:] == g[:, :r] @ a).all(axis=1)
     return mask
+
+
+def full_weight_counts(n: int) -> tuple[int, ...]:
+    """Singular binary rows among all 2^n, grouped by weight: every row goes
+    through ``singular_mask``, in chunks of at most 2^16 rows, with no
+    complement symmetry and no shared projection."""
+    counts = np.zeros(n + 1, dtype=np.int64)
+    for start in range(0, 1 << n, 1 << 16):
+        idx = np.arange(start, min(start + (1 << 16), 1 << n), dtype=np.int64)
+        bits = ((idx[:, None] >> np.arange(n)) & 1).astype(np.int8)
+        weight = bits.sum(axis=1)
+        counts += np.bincount(weight[singular_mask(bits)], minlength=n + 1)
+    return tuple(int(c) for c in counts)
 
 
 def max_pdf_by_scan(n: int, q: Fraction) -> tuple[int, Fraction]:

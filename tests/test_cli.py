@@ -185,6 +185,19 @@ class TestTableCommand:
         assert cells[4] == "0.0"  # the approximation underflows to 0.0
         assert cells[5] == "1.0"  # ratio to the exact dominant sum
 
+    def test_row_past_exponent_budget_left_absent(self, capsys):
+        # n = 2021 = 43 * 47 has a closed-form union, which the exponent
+        # budget refuses (2021 * 99 bits); the other rows pass the row budget
+        q = "1/" + "1" + "0" * 30
+        code, out, _ = run_capture(
+            capsys, ["table", "--n-range", "2021:2024", "--q", q])
+        assert code == 0
+        rows = table_from_csv(out)
+        assert [r.n for r in rows] == [2021, 2022, 2023, 2024]
+        assert all(r.exact is None and r.ratio is None for r in rows)
+        assert [r.approx for r in rows] == [
+            asym.approx_main(n, 1e-30).value for n in range(2021, 2025)]
+
     def test_range_parsing(self):
         assert cli.parse_n_range("4:8:2") == [4, 6, 8]
         assert cli.parse_n_range("4:9:2") == [4, 6, 8]  # end not hit

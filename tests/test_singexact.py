@@ -427,6 +427,76 @@ class TestBruteForce:
         assert singexact._singular_weight_counts.cache_info().misses == misses
 
 
+@pytest.fixture
+def narrow_bound(monkeypatch):
+    """Set ``FLOAT32_EXACT`` for the test with cold basis and screen caches."""
+    def narrow(bound):
+        monkeypatch.setattr(singexact, "FLOAT32_EXACT", bound)
+        singexact._float_basis.cache_clear()
+        singexact._screen.cache_clear()
+    yield narrow
+    singexact._float_basis.cache_clear()
+    singexact._screen.cache_clear()
+
+
+@pytest.fixture
+def cold_counts():
+    """A cold ``_singular_weight_counts`` cache before and after the test."""
+    singexact._singular_weight_counts.cache_clear()
+    yield
+    singexact._singular_weight_counts.cache_clear()
+
+
+class TestHalfEnumeration:
+    """The union tests the 2^(n-1) rows with top bit 0 and mirrors them."""
+
+    def test_matches_full_enumeration(self, cold_counts):
+        for n in range(1, 19):
+            assert singexact._singular_weight_counts(n) == \
+                oracles.full_weight_counts(n), n
+
+    def test_matches_full_enumeration_narrow_screen(self, cold_counts,
+                                                    narrow_bound):
+        # a bound of 16 leaves d = 5, 11, 3, 13, 7 of n = 10..14 without a
+        # column and narrows every other c_d, so rows pass screens falsely
+        want = {n: oracles.full_weight_counts(n) for n in range(1, 15)}
+        narrow_bound(16)
+        assert 7 not in singexact._screen(14)[0]
+        bits = all_bit_rows(12)
+        hit = (bits.astype(np.float32) @ singexact._screen(12)[1]) == 0
+        assert hit.any(axis=1).sum() > singular_mask(bits).sum()
+        for n, counts in want.items():
+            assert singexact._singular_weight_counts(n) == counts, n
+
+    def test_matches_full_enumeration_many_chunks(self, cold_counts,
+                                                  monkeypatch):
+        # 192 bytes hold 2^3 rows of 4n bytes for n <= 6, 2^2 for n = 7..12
+        # and 2^1 beyond, so every n >= 5 takes 2^(n-4) chunks or more, all
+        # but the first with a nonzero high-bit projection
+        want = {n: oracles.full_weight_counts(n) for n in range(1, 15)}
+        monkeypatch.setattr(singexact, "BATCH_BYTES", 192)
+        for n, counts in want.items():
+            assert singexact._singular_weight_counts(n) == counts, n
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_complement_keeps_divisor_events(self, n):
+        for bits in product((0, 1), repeat=n):
+            events = set(singular_divisors(FirstRow(n, bits))) - {1}
+            flipped = tuple(1 - b for b in bits)
+            assert events == set(singular_divisors(FirstRow(n, flipped))) - {1}
+
+    def test_row_budget_counts_enumerated_rows(self):
+        # n = 10 enumerates 2^9 rows; binary n = 10 = 2 * 5 has a closed
+        # form, so the ladder's boundary shows in the signed model
+        assert prob_union_bruteforce(10, HALF, budget=512) == \
+            oracles.union_prob_by_det(10, HALF)
+        with pytest.raises(BudgetExceededError) as err:
+            prob_union_bruteforce(10, HALF, budget=511)
+        assert (err.value.required, err.value.budget) == (512, 511)
+        assert exact_union(10, HALF, "signed", 512)[1] == "brute-force"
+        assert exact_union(10, HALF, "signed", 511) == (None, "absent-over-budget")
+
+
 class TestSingularMask:
     @pytest.mark.parametrize("model", ["binary", "signed"])
     @pytest.mark.parametrize("n", [*range(1, 11), 60, 64, 90, 105, 120, 128,
@@ -453,17 +523,6 @@ class TestSingularMask:
                 singular_mask(periodic_and_random_rows(12))
         finally:
             singexact._float_basis.cache_clear()
-
-    @pytest.fixture
-    def narrow_bound(self, monkeypatch):
-        """Set ``FLOAT32_EXACT`` for the test with cold basis and screen caches."""
-        def narrow(bound):
-            monkeypatch.setattr(singexact, "FLOAT32_EXACT", bound)
-            singexact._float_basis.cache_clear()
-            singexact._screen.cache_clear()
-        yield narrow
-        singexact._float_basis.cache_clear()
-        singexact._screen.cache_clear()
 
     def scalar_divisors(self, bits, signed=False):
         n = bits.shape[1]
