@@ -59,8 +59,9 @@ def sample_singularity(n: int, q, samples: int, seed: int,
                        model: str = "binary", shards: int = 1) -> EstimateWithCI:
     """Estimate the singularity probability from `samples` i.i.d. rows.
 
-    Every sampled row is tested exactly (fold plus lattice membership per
-    divisor, equivalent to ``polycyc.singular_divisors``).  Fixed
+    Every sampled row is tested exactly by ``singexact.singular_mask``, one
+    float32 product that decides every divisor, equivalent to
+    ``polycyc.singular_divisors``.  Fixed
     (seed, samples) give a bit-identical count for any shard split.
     """
     singexact._check_model(model)

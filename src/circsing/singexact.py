@@ -6,7 +6,9 @@ CRT image sum over the exact convolution of the image law.
 Unions over all divisors use one inclusion-exclusion over the prime-power
 divisor events for n in {prime, prime^2, prime*prime'}, and an exhaustive
 weighted enumeration of the 2^n rows, half of them by complement symmetry,
-as the independent fallback and oracle.
+as the independent fallback and oracle.  Its rows, like Monte-Carlo rows,
+are decided by one exact float32 product with mixed-radix columns that
+tests every divisor at once (``_columns``).
 Every value is an exact Fraction.
 """
 from __future__ import annotations
@@ -30,7 +32,8 @@ ENUMERATION_BUDGET = 10_000_000
 BRUTEFORCE_BUDGET = 1 << 26
 
 #: Byte bound on one batch of rows: it caps the raw Philox bytes of an MC
-#: slice and a union chunk's rows at 4n bytes each, which bounds memory for
+#: slice, and a union chunk's float32 product with the ``_columns`` matrix
+#: at 4n bytes a row (there are at most n columns), which bounds memory for
 #: every n.
 BATCH_BYTES = 1 << 24
 
@@ -199,75 +202,69 @@ FLOAT32_EXACT = 1 << 24
 
 
 @functools.lru_cache(maxsize=None)
-def _float_basis(d: int, w: int) -> np.ndarray:
-    """``hnf_basis(d)`` as float32 for folds with entries in [0, w].
+def _columns(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The float32 columns whose exact product with 0/1 rows of length n
+    decides every divisor event, and the 0/1 matrix that groups them by
+    divisor (``_hits``).
 
-    Every product and partial sum of ``g[:, :r] @ A`` then has magnitude at
-    most w * (max column sum of |A|), so the BLAS product is an exact integer
-    as long as w * (1 + that sum) stays below ``FLOAT32_EXACT``.
+    For d | n, w = n/d and A = hnf_basis(d) (no rows for d = 1), the fold f
+    of a row to length d has entries in [0, w], and Phi_d divides the row
+    iff every coordinate of f[r:] - f[:r] @ A is 0.  Coordinate j takes
+    values in an interval of R_j = w * (1 + sum_i |A_ij|) + 1 integers that
+    holds 0.  Consecutive coordinates of d are packed into one column with
+    place values c = 1, R_0, R_0 R_1, ... while the product of their R_j
+    stays within ``FLOAT32_EXACT``; the column tile((-A @ c ; c), w) maps the
+    row to sum_j c_j * coordinate_j, which by mixed-radix uniqueness is 0 iff
+    every packed coordinate is.  Every partial sum of that product over a
+    0/1 row is at most the column's absolute sum, sum_j c_j (R_j - 1), which
+    is below the product of the R_j, so float32 BLAS computes it exactly.
+    d = 1 is the one column of ones, whose product is the row weight.  A
+    coordinate with R_j > ``FLOAT32_EXACT`` is refused.
     """
-    a = np.array(hnf_basis(d), dtype=np.float32)
-    bound = w * (1 + int(np.abs(a).sum(axis=0).max()))
-    if bound >= FLOAT32_EXACT:
-        raise BudgetExceededError(
-            f"float32 lattice test for d={d} with fold entries up to {w} "
-            f"reaches {bound} (exact below {FLOAT32_EXACT})",
-            required=bound, budget=FLOAT32_EXACT)
-    return a
-
-
-@functools.lru_cache(maxsize=None)
-def _screen(n: int) -> tuple[dict[int, int], np.ndarray]:
-    """{d: column} and the float32 matrix of the screen, whose product with
-    the rows is the ``hit`` of ``_confirm``.
-
-    Column tile(v, n/d), v = (-A c ; c) for A = hnf_basis(d), maps a row s
-    with fold f to (f[r:] - f[:r] @ A) . c, which is 0 if Phi_d divides s.
-    c is fixed and random, of the widest width (20 bits down to 1) whose
-    column's absolute sum, a bound on every partial sum for a 0/1 row, stays
-    below ``FLOAT32_EXACT``; a d no width fits, or whose ``_float_basis`` is
-    refused, gets no column.
-    """
-    cols, tiles = {}, []
-    for d in polycyc.divisors(n)[:0:-1]:
+    divisors = polycyc.divisors(n)
+    tiles, owner = [], []
+    for k, d in enumerate(divisors):
         w = n // d
-        try:
-            a = _float_basis(d, w).astype(np.int64)  # |A| bounded: int64 exact
-        except BudgetExceededError:
-            continue
-        u = np.random.default_rng(d).integers(1 << 19, 1 << 20, d - len(a))
-        c = u >> np.arange(20)[:, None]
-        v = np.hstack([-(c @ a.T), c])
-        fits = np.flatnonzero(w * np.abs(v).sum(axis=1) < FLOAT32_EXACT)
-        if len(fits):
-            cols[d] = len(tiles)
-            tiles.append(np.tile(v[fits[0]], w))
-    return cols, np.array(tiles, dtype=np.float32).reshape(-1, n).T
+        a = np.array(hnf_basis(d) if d > 1 else np.zeros((0, 1)), dtype=np.float32)
+        span = w * (1 + np.abs(a).sum(axis=0, dtype=np.float64))
+        bound = int(span.max())
+        if bound >= FLOAT32_EXACT:
+            raise BudgetExceededError(
+                f"float32 lattice test for d={d} with fold entries up to {w} "
+                f"reaches {bound} (exact below {FLOAT32_EXACT})",
+                required=bound, budget=FLOAT32_EXACT)
+        col, value, where, values = 0, 1, [], []
+        for radix in span.astype(np.int64) + 1:
+            if value * radix > FLOAT32_EXACT:
+                col, value = col + 1, 1
+            where.append(col)
+            values.append(value)
+            value *= radix
+        place = np.zeros((len(span), col + 1), dtype=np.float32)
+        place[np.arange(len(span)), where] = values
+        tiles.append(np.tile(np.vstack([-(a @ place), place]), (w, 1)))
+        owner += [k] * (col + 1)
+    group = np.zeros((len(owner), len(divisors)), dtype=np.float32)
+    group[np.arange(len(owner)), owner] = 1
+    return np.hstack(tiles), group
 
 
-def _confirm(bits: np.ndarray, mask: np.ndarray, hit: np.ndarray) -> np.ndarray:
-    """The exact per-divisor test of the rows that pass the screen; returns
-    ``mask``, updated in place.
+def _hits(prod: np.ndarray, n: int, model: str) -> np.ndarray:
+    """Per-divisor verdicts from ``prod``, the product of 0/1 rows with the
+    ``_columns(n)`` columns: row k of the (tau(n), rows) result says for
+    each row whether Phi_d, d = divisors(n)[k], divides it.
 
-    ``mask`` holds the verdicts so far and ``hit`` the screen, one column per
-    ``_screen`` divisor.  Divisors d >= 2 are visited in decreasing order,
-    and only the rows not yet singular that pass d's screen (all of them, for
-    a d without a column) are folded, in float32, and tested s[r:] ==
-    s[:r] @ A.  Fold entries lie in [0, n/d], so the float32 BLAS test is
-    exact while (n/d) * (1 + max column sum of |A|) < ``FLOAT32_EXACT``
-    (``_float_basis`` refuses otherwise).
+    ``prod`` is overwritten by its absolute value, which leaves column 0,
+    the weight, as it was.  A sum of nonnegative floats is 0 iff every term
+    is, so the group matrix times ``abs(prod)`` is 0 exactly where all of
+    d's columns are, at any magnitude.  The signed d = 1 event is weight
+    n/2, not 0.
     """
-    n = bits.shape[1]
-    cols, _ = _screen(n)
-    for d in polycyc.divisors(n)[:0:-1]:
-        if mask.all():
-            break
-        a = _float_basis(d, n // d)
-        r = len(a)
-        rows = np.flatnonzero(hit[:, cols[d]] & ~mask if d in cols else ~mask)
-        f = bits[rows].reshape(-1, n // d, d).sum(axis=1, dtype=np.float32)
-        mask[rows] = (f[:, r:] == f[:, :r] @ a).all(axis=1)
-    return mask
+    np.abs(prod, out=prod)
+    hits = _columns(n)[1].T @ prod.T == 0
+    if model == "signed":
+        hits[0] = 2 * prod[:, 0] == n
+    return hits
 
 
 def singular_mask(bits: np.ndarray, model: str = "binary") -> np.ndarray:
@@ -276,20 +273,14 @@ def singular_mask(bits: np.ndarray, model: str = "binary") -> np.ndarray:
     ``bits`` is an (m, n) array of 0/1 entries, one row per line.  The d = 1
     event is row weight 0 (binary) or n/2 (signed).  Phi_d divides the
     all-ones row J for every d >= 2 dividing n, so it divides the signed row
-    2b - J iff it divides b: both models fold the 0/1 rows into length d and
-    test lattice membership s[rank:] == s[:rank] @ A, exactly.  Equivalent
-    to ``polycyc.singular_divisors`` being nonempty, row by row.
-
-    The rows are screened by one exact float32 BLAS product with the
-    ``_screen`` columns: Phi_d divides no row whose product for d is
-    nonzero.  ``_confirm`` then tests the rows that pass.
+    2b - J iff it divides b: both models test the 0/1 rows' folds for
+    lattice membership.  One exact float32 BLAS product with the
+    ``_columns`` matrix decides every divisor at once (``_hits``).
+    Equivalent to ``polycyc.singular_divisors`` being nonempty, row by row.
     """
     _check_model(model)
     n = bits.shape[1]
-    weight = bits.sum(axis=1, dtype=np.int32)
-    mask = weight == 0 if model == "binary" else 2 * weight == n
-    _, proj = _screen(n)
-    return _confirm(bits, mask, (bits.astype(np.float32) @ proj) == 0)
+    return _hits(bits.astype(np.float32) @ _columns(n)[0], n, model).any(axis=0)
 
 
 @functools.lru_cache(maxsize=64)
@@ -301,34 +292,34 @@ def _singular_weight_counts(n: int) -> tuple[int, ...]:
     event (Phi_d divides J), and the d = 1 event, b = 0, has the singular
     complement J, so each count c over weights adds c + c[::-1].
 
-    The rows go in chunks of 2^low, the most that fit ``BATCH_BYTES`` at 4n
-    bytes a row: the low bit columns are filled once and shared
-    by every chunk, the high ones are rewritten per chunk.  The screen is
-    linear, so the low columns' projection is computed once too, and each
-    chunk adds its high columns' projection, one vector, to it; every
-    partial sum is bounded by the column's absolute sum, which ``_screen``
-    keeps below ``FLOAT32_EXACT``, so the sum is exact.
+    The rows go in chunks of 2^low, the most whose ``_columns`` product
+    fits ``BATCH_BYTES`` at 4n bytes a row.  The chunks share their low
+    bits, so the low columns' product is computed once, and each chunk adds
+    its high columns' product, one vector, to it.  Every partial sum is at
+    most the column's absolute sum, which ``_columns`` keeps below
+    ``FLOAT32_EXACT``, so the sum is exact; its column 0 is the weight.
     """
     if n == 1:
         return (1, 0)
     low = min(n - 1, (BATCH_BYTES // (4 * n)).bit_length() - 1)
-    idx = np.arange(1 << low)
-    bits = np.zeros((1 << low, n), dtype=np.int8)
-    for j in range(low):
-        bits[:, j] = (idx >> j) & 1
-    low_weight = bits[:, :low].sum(axis=1, dtype=np.int64)
-    _, proj = _screen(n)
-    low_proj = bits[:, :low] @ proj[:low]
+    cols, _ = _columns(n)
+    idx = np.arange(1 << low, dtype=np.int32)
+    low_bits = (idx[:, None] >> np.arange(low, dtype=np.int32)) & 1
+    low_proj = low_bits.astype(np.float32) @ cols[:low]
     counts = np.zeros(n + 1, dtype=np.int64)
     for high in range(1 << (n - 1 - low)):
-        high_bits = np.array([(high >> j) & 1 for j in range(n - 1 - low)],
-                             dtype=np.int8)
-        bits[:, low:n - 1] = high_bits
-        hit = (low_proj + high_bits @ proj[low:n - 1]) == 0
-        weight = low_weight + high.bit_count()
-        c = np.bincount(weight[_confirm(bits, weight == 0, hit)], minlength=n + 1)
+        high_bits = (high >> np.arange(n - 1 - low)) & 1
+        prod = low_proj + high_bits.astype(np.float32) @ cols[low:n - 1]
+        singular = _hits(prod, n, "binary").any(axis=0)
+        c = np.bincount(prod[singular, 0].astype(np.int64), minlength=n + 1)
         counts += c + c[::-1]
     return tuple(int(c) for c in counts)
+
+
+def _rows_fit(n: int, budget: int) -> bool:
+    """Whether the 2^(n-1) rows the exhaustive union tests are within
+    ``budget``, decided without forming 2^(n-1)."""
+    return budget > 0 and n <= budget.bit_length()
 
 
 def prob_union_bruteforce(n: int, q: Fraction, model: str = "binary",
@@ -343,12 +334,11 @@ def prob_union_bruteforce(n: int, q: Fraction, model: str = "binary",
     _check_model(model)
     if n < 1:
         raise ValueError("n must be positive")
-    binomstats._check_exact_q(q)
-    rows = 1 << (n - 1)
-    if rows > budget:
+    binomstats.check_exponent(n, q, f"brute force for n={n} needs exponent {n}")
+    if not _rows_fit(n, budget):
         raise BudgetExceededError(
-            f"brute force for n={n} needs {rows} rows (budget {budget})",
-            required=rows, budget=budget)
+            f"brute force for n={n} needs 2^{n - 1} rows (budget {budget})",
+            required=1 << (n - 1), budget=budget)
     counts = list(_singular_weight_counts(n))
     if model == "signed":
         # The models differ only in the d = 1 event (see singular_mask): the
@@ -418,7 +408,7 @@ def exact_union(n: int, q: Fraction, model: str = "binary",
         value = prob_union_closed_form(n, q)
         if value is not None:
             return value, "closed-form"
-    if 1 << (n - 1) <= budget:
+    if _rows_fit(n, budget):
         return prob_union_bruteforce(n, q, model, budget), "brute-force"
     return None, "absent-over-budget"
 

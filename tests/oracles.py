@@ -10,8 +10,9 @@ probability, enumeration of the CRT image vectors is a second route for
 every d with two or more primes, the chunked decimal conversion checks
 output past the int-to-str digit limit, the float form of the 53-bit
 threshold test checks the Monte-Carlo row generator, the fold-down mask,
-which tests every row at every divisor, checks the screened mask, and the
-full enumeration of all 2^n rows checks the union's half enumeration.
+which folds every row to every divisor in float64, checks the packed
+columns of the mask, and the full enumeration of all 2^n rows checks the
+union's half enumeration.
 """
 from __future__ import annotations
 
@@ -28,8 +29,7 @@ from circsing.binomstats import _check_exact_q
 from circsing.errors import BudgetExceededError
 from circsing.polycyc import (FirstRow, divisors, factorize, singular_divisors,
                               smallest_prime)
-from circsing.singexact import (ENUMERATION_BUDGET, _float_basis, hnf_basis,
-                                singular_mask)
+from circsing.singexact import ENUMERATION_BUDGET, hnf_basis, singular_mask
 
 log = logging.getLogger(__name__)
 
@@ -275,8 +275,9 @@ def sample_bits_by_uniforms(seed: int, n: int, start: int, count: int,
 
 
 def fold_down_mask(bits: np.ndarray, signed: bool = False) -> np.ndarray:
-    """Singularity verdicts with no screen: every row is folded to every
-    divisor d >= 2 of n and tested s[rank:] == s[:rank] @ A in float32.
+    """Singularity verdicts with no packed columns: every row is folded to
+    every divisor d >= 2 of n and tested s[rank:] == s[:rank] @ A in float64,
+    exact for every integer below 2^53, on its own array of ``hnf_basis(d)``.
 
     Each d is folded from the fold of its smallest multiple D = d*p among the
     divisors (p the least prime of n/d) by adding the p column blocks of
@@ -289,7 +290,7 @@ def fold_down_mask(bits: np.ndarray, signed: bool = False) -> np.ndarray:
     source = {d: d * smallest_prime(n // d) for d in down[1:]}
     last_reader = {big: d for d, big in source.items()}  # smallest d wins
     folds: dict[int, np.ndarray] = {}
-    g = bits.astype(np.float32)
+    g = bits.astype(np.float64)
     for d in down:
         if d < n:
             big_d = source[d]
@@ -299,7 +300,7 @@ def fold_down_mask(bits: np.ndarray, signed: bool = False) -> np.ndarray:
                 g += big[:, k:k + d]
         if d in last_reader:
             folds[d] = g
-        a = _float_basis(d, n // d)
+        a = np.array(hnf_basis(d), dtype=np.float64)
         r = len(a)
         mask |= (g[:, r:] == g[:, :r] @ a).all(axis=1)
     return mask

@@ -2,6 +2,7 @@ import logging
 import math
 import re
 import time
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -36,6 +37,21 @@ def periodic_and_random_rows(n):
     blocks = [np.tile(rng.integers(0, 2, (8, c)), (1, n // c))
               for c in polycyc.divisors(n)[:-1]]
     return np.vstack(blocks + [rng.integers(0, 2, (64, n))]).astype(np.int8)
+
+
+def scalar_divisor_sets(n, bits, model):
+    """``polycyc.singular_divisors`` of every row, as sets."""
+    return [singular_divisors(FirstRow(n, tuple(row)), signed=(model == "signed"))
+            for row in bits.tolist()]
+
+
+def divisor_hit_sets(bits, model):
+    """The divisors whose ``singexact._hits`` verdict holds, per row."""
+    n = bits.shape[1]
+    hits = singexact._hits(bits.astype(np.float32) @ singexact._columns(n)[0],
+                           n, model)
+    divisors = np.array(polycyc.divisors(n))
+    return [set(divisors[row].tolist()) for row in hits.T]
 
 
 class TestPrimeDivisor:
@@ -429,14 +445,12 @@ class TestBruteForce:
 
 @pytest.fixture
 def narrow_bound(monkeypatch):
-    """Set ``FLOAT32_EXACT`` for the test with cold basis and screen caches."""
+    """Set ``FLOAT32_EXACT`` for the test with a cold column cache."""
     def narrow(bound):
         monkeypatch.setattr(singexact, "FLOAT32_EXACT", bound)
-        singexact._float_basis.cache_clear()
-        singexact._screen.cache_clear()
+        singexact._columns.cache_clear()
     yield narrow
-    singexact._float_basis.cache_clear()
-    singexact._screen.cache_clear()
+    singexact._columns.cache_clear()
 
 
 @pytest.fixture
@@ -455,16 +469,13 @@ class TestHalfEnumeration:
             assert singexact._singular_weight_counts(n) == \
                 oracles.full_weight_counts(n), n
 
-    def test_matches_full_enumeration_narrow_screen(self, cold_counts,
-                                                    narrow_bound):
-        # a bound of 16 leaves d = 5, 11, 3, 13, 7 of n = 10..14 without a
-        # column and narrows every other c_d, so rows pass screens falsely
-        want = {n: oracles.full_weight_counts(n) for n in range(1, 15)}
-        narrow_bound(16)
-        assert 7 not in singexact._screen(14)[0]
-        bits = all_bit_rows(12)
-        hit = (bits.astype(np.float32) @ singexact._screen(12)[1]) == 0
-        assert hit.any(axis=1).sum() > singular_mask(bits).sum()
+    @pytest.mark.parametrize("bound", [13, 16, 64])
+    def test_matches_full_enumeration_narrow_bound(self, cold_counts,
+                                                   narrow_bound, bound):
+        # narrow bounds pack fewer coordinates into each column; every
+        # n <= 14 below the bound builds its columns
+        want = {n: oracles.full_weight_counts(n) for n in range(1, min(15, bound))}
+        narrow_bound(bound)
         for n, counts in want.items():
             assert singexact._singular_weight_counts(n) == counts, n
 
@@ -485,6 +496,28 @@ class TestHalfEnumeration:
             flipped = tuple(1 - b for b in bits)
             assert events == set(singular_divisors(FirstRow(n, flipped))) - {1}
 
+    def test_row_budget_never_forms_the_row_count(self):
+        # 2^(2^27 - 1) would take 16 MB
+        tracemalloc.start()
+        try:
+            got = exact_union(1 << 27, HALF)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == (None, "absent-over-budget")
+        assert peak < 1 << 20
+
+    def test_row_budget_refusal_past_the_digit_limit(self):
+        with pytest.raises(BudgetExceededError, match=r"2\^19999 rows"):
+            prob_union_bruteforce(20000, HALF)
+
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_nonpositive_row_budget_leaves_union_absent(self, budget):
+        assert exact_union(4, HALF, "signed", budget) == \
+            (None, "absent-over-budget")
+        with pytest.raises(BudgetExceededError):
+            prob_union_bruteforce(4, HALF, budget=budget)
+
     def test_row_budget_counts_enumerated_rows(self):
         # n = 10 enumerates 2^9 rows; binary n = 10 = 2 * 5 has a closed
         # form, so the ladder's boundary shows in the signed model
@@ -495,6 +528,45 @@ class TestHalfEnumeration:
         assert (err.value.required, err.value.budget) == (512, 511)
         assert exact_union(10, HALF, "signed", 512)[1] == "brute-force"
         assert exact_union(10, HALF, "signed", 511) == (None, "absent-over-budget")
+
+
+class TestColumns:
+    """The mixed-radix columns that ``_hits`` decides every divisor from."""
+
+    @pytest.mark.parametrize("bound", [None, 13, 16, 64])
+    def test_pack_every_coordinate_once_and_exactly(self, narrow_bound, bound):
+        if bound:
+            narrow_bound(bound)
+        limit = singexact.FLOAT32_EXACT
+        for n in [*range(1, 131), 210, 420]:
+            divisors = polycyc.divisors(n)
+            basis = {d: np.array(hnf_basis(d) if d > 1 else np.zeros((0, 1)),
+                                 dtype=np.int64) for d in divisors}
+            # coordinate j of d spans R_j - 1 = (n/d) * (1 + sum_i |A_ij|)
+            spans = {d: (n // d) * (1 + np.abs(a).sum(axis=0))
+                     for d, a in basis.items()}
+            if max(int(s.max()) for s in spans.values()) >= limit:
+                with pytest.raises(BudgetExceededError, match="float32"):
+                    singexact._columns(n)
+                continue
+            cols, group = singexact._columns(n)
+            assert cols.dtype == np.float32 and cols.shape[0] == n
+            assert (np.abs(cols).sum(axis=0) < limit).all(), n
+            assert (group.sum(axis=1) == 1).all() and group[0, 0] == 1
+            for k, d in enumerate(divisors):
+                own = cols[:, group[:, k] == 1].astype(np.int64)
+                a, r, w = basis[d], len(basis[d]), n // d
+                place = own[r:d]
+                assert (own == np.tile(own[:d], (w, 1))).all(), (n, d)
+                assert (own[:r] == -(a @ place)).all(), (n, d)
+                # each coordinate sits in one column, and each place value
+                # passes what the coordinates below it can sum to
+                assert ((place != 0).sum(axis=1) == 1).all(), (n, d)
+                for c in place.T:
+                    used = np.flatnonzero(c)
+                    assert (c[used] > 0).all()
+                    reach = np.cumsum(c[used] * spans[d][used])
+                    assert (c[used][1:] > reach[:-1]).all(), (n, d)
 
 
 class TestSingularMask:
@@ -516,48 +588,33 @@ class TestSingularMask:
     def test_refuses_inexact_float32_test(self, monkeypatch):
         # n = 12: the d = 2 fold has entries up to 6 and A = [[1]], so d = 2
         # alone reaches 6 * (1 + 1) = 12
-        singexact._float_basis.cache_clear()
+        singexact._columns.cache_clear()
         monkeypatch.setattr(singexact, "FLOAT32_EXACT", 12)
         try:
             with pytest.raises(BudgetExceededError, match="float32"):
                 singular_mask(periodic_and_random_rows(12))
         finally:
-            singexact._float_basis.cache_clear()
-
-    def scalar_divisors(self, bits, signed=False):
-        n = bits.shape[1]
-        return [set(singular_divisors(FirstRow(n, tuple(row)), signed=signed))
-                for row in bits.tolist()]
-
-    def test_screen_passes_rows_the_exact_test_rejects(self, narrow_bound):
-        # at the default bound no row of n <= 16 passes a screen falsely; a
-        # bound of 64 narrows every c_d to a few bits, so many rows do
-        narrow_bound(64)
-        bits = all_bit_rows(12)
-        cols, proj = singexact._screen(12)
-        hit = (bits.astype(np.float32) @ proj) == 0
-        want = self.scalar_divisors(bits)
-        passed_falsely = 0
-        for d, j in cols.items():
-            singular = np.array([d in divs for divs in want])
-            assert not (singular & ~hit[:, j]).any()
-            passed_falsely += int((hit[:, j] & ~singular).sum())
-        assert passed_falsely > 0
-        for model in ("binary", "signed"):
-            got = singular_mask(bits, model)
-            want_model = self.scalar_divisors(bits, signed=(model == "signed"))
-            assert got.tolist() == [bool(divs) for divs in want_model]
+            singexact._columns.cache_clear()
 
     @pytest.mark.parametrize("model", ["binary", "signed"])
-    def test_divisor_without_column_takes_exact_test(self, narrow_bound, model):
-        # n = 12 at a bound of 13: every float32 basis fits (d = 2 reaches
-        # 6 * 2 = 12), but d = 3 needs 4 * (2 + 2) = 16 even with c = (1, 1)
-        narrow_bound(13)
-        cols, _ = singexact._screen(12)
-        assert 3 not in cols and 2 in cols
-        bits = all_bit_rows(12)
-        want = self.scalar_divisors(bits, signed=(model == "signed"))
-        assert singular_mask(bits, model).tolist() == [bool(d) for d in want]
+    @pytest.mark.parametrize("bound", [None, 13, 16, 64])
+    def test_divisor_hits_match_scalar_path(self, narrow_bound, bound, model):
+        # narrow bounds spread each divisor over more columns; at 13 every
+        # n <= 12 still builds them (n = 12: d = 2 reaches 6 * 2 = 12)
+        if bound:
+            narrow_bound(bound)
+        for n in range(1, 13):
+            bits = all_bit_rows(n)
+            want = scalar_divisor_sets(n, bits, model)
+            assert divisor_hit_sets(bits, model) == want, n
+            assert singular_mask(bits, model).tolist() == [bool(d) for d in want]
+
+    @pytest.mark.parametrize("model", ["binary", "signed"])
+    @pytest.mark.parametrize("n, q", [(120, 0.5), (127, 0.02), (210, 0.5)])
+    def test_divisor_hits_match_scalar_path_mc(self, model, n, q):
+        bits = mcsim._sample_bits(5, n, 0, 1 << 13, q)
+        assert divisor_hit_sets(bits, model) == \
+            scalar_divisor_sets(n, bits, model)
 
     @pytest.mark.parametrize("model", ["binary", "signed"])
     @pytest.mark.parametrize("n, q", [(120, 0.5), (127, 0.02), (128, 0.5),
