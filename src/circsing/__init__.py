@@ -3,7 +3,7 @@
 from .asym import (AsymptoticValue, ConvergenceRow, approx_closed, approx_main,
                    approx_signed, convergence_table)
 from .binomstats import (binom_max, binom_pdf_exact, binom_pdf_log,
-                         demoivre_approx, power_sum_asymptotic, power_sum_exact)
+                         power_sum_asymptotic, power_sum_exact)
 from .errors import BudgetExceededError
 from .mcsim import EstimateWithCI, sample_singularity
 from .polycyc import (FirstRow, IntPolynomial, cyclotomic, fold,
@@ -11,8 +11,7 @@ from .polycyc import (FirstRow, IntPolynomial, cyclotomic, fold,
 from .singexact import (DivisorProbability, ProbabilityReport,
                         divisor_probability, exact_union, hnf_basis,
                         prob_bounds, prob_divisor_general,
-                        prob_union_bruteforce, prob_union_closed_form, report,
-                        signed_intersection_1_2)
+                        prob_union_bruteforce, prob_union_closed_form, report)
 
 __version__ = "0.1.0"
 
@@ -21,9 +20,9 @@ __all__ = [
     "DivisorProbability", "EstimateWithCI", "FirstRow", "IntPolynomial",
     "ProbabilityReport", "approx_closed", "approx_main", "approx_signed",
     "binom_max", "binom_pdf_exact", "binom_pdf_log", "convergence_table",
-    "cyclotomic", "demoivre_approx", "divisor_probability", "exact_union",
-    "fold", "hnf_basis", "power_sum_asymptotic", "power_sum_exact",
-    "prob_bounds", "prob_divisor_general", "prob_union_bruteforce",
+    "cyclotomic", "divisor_probability", "exact_union", "fold",
+    "hnf_basis", "power_sum_asymptotic", "power_sum_exact", "prob_bounds",
+    "prob_divisor_general", "prob_union_bruteforce",
     "prob_union_closed_form", "reduce_mod_cyclotomic", "report",
-    "sample_singularity", "signed_intersection_1_2", "singular_divisors",
+    "sample_singularity", "singular_divisors",
 ]

@@ -72,15 +72,6 @@ def binom_max(n: int, q: Fraction) -> Fraction:
     return binom_pdf_exact(math.floor((n + 1) * _check_exact_q(q)), n, q)
 
 
-def demoivre_approx(k: int, n: int, q: float) -> float:
-    """Gaussian approximation of the binomial mass at k (de Moivre-Laplace)."""
-    qf = _check_float_q(q)
-    if n < 1:
-        raise ValueError("n must be positive")
-    var = n * qf * (1 - qf)
-    return math.exp(-((k - n * qf) ** 2) / (2 * var)) / math.sqrt(2 * math.pi * var)
-
-
 def mass_numerators(n: int, q: Fraction) -> Iterator[int]:
     """Numerators C(n,k) a^k (b-a)^(n-k) over b^n of the Binomial(n, a/b)
     masses for k = 0..n, each computed from the last (the divisions are exact)."""

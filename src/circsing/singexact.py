@@ -34,8 +34,10 @@ BRUTEFORCE_BUDGET = 1 << 26
 #: Byte bound on one batch of rows: it caps the raw Philox bytes of an MC
 #: slice, and a union chunk's float32 product with the ``_columns`` matrix
 #: at 4n bytes a row (there are at most n columns), which bounds memory for
-#: every n.
-BATCH_BYTES = 1 << 24
+#: every n.  4 MiB, not 16: after a 16 MiB batch is freed, glibc's dynamic
+#: mmap threshold rises past it, later batches come from the heap, and the
+#: heap keeps them, which added a batch to peak RSS in some memory layouts.
+BATCH_BYTES = 1 << 22
 
 MODELS = ("binary", "signed")
 
@@ -95,6 +97,17 @@ class ProbabilityReport:
     omitted: tuple[tuple[int, str], ...] = ()
 
 
+def _check_divisor(d: int, n: int, trivial: bool = False) -> None:
+    """Refuse n < 1, then d < 2 (unless ``trivial`` admits d = 1), then d
+    not dividing n, in that order."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    if d < 2 and not trivial:
+        raise ValueError("d must be at least 2")
+    if d < 1 or n % d:
+        raise ValueError(f"{d} does not divide {n}")
+
+
 def _check_work(visited: int, budget: int, d: int, n: int) -> None:
     """Refuse once the CRT convolution must visit more than ``budget``."""
     if visited > budget:
@@ -117,12 +130,7 @@ def prob_divisor_general(d: int, n: int, q: Fraction,
     exponent n by ``binomstats.check_exponent`` (the value is over b^n), and
     a fold step once the (image, k) candidates visited must pass ``budget``.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
-    if d < 2:
-        raise ValueError("d must be at least 2")
-    if n % d:
-        raise ValueError(f"{d} does not divide {n}")
+    _check_divisor(d, n)
     binomstats.check_exponent(n, q, f"divisor d={d} of n={n} needs exponent {n}")
     *rest, p = sorted(polycyc.factorize(d))
     m = math.prod(rest)
@@ -159,12 +167,7 @@ def prob_divisor_general(d: int, n: int, q: Fraction,
 
 def prob_bounds(d: int, n: int, q: Fraction) -> tuple[Fraction | None, Fraction]:
     """Bounds M(q,n/d)^d <= P(d) <= M(q,n/d)^phi(d); lower only for prime d."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    if d < 2:
-        raise ValueError("d must be at least 2")
-    if n % d:
-        raise ValueError(f"{d} does not divide {n}")
+    _check_divisor(d, n)
     binomstats.check_exponent(n, q, f"bounds for d={d} of n={n} need exponent {n}")
     mx = binomstats.binom_max(n // d, q)
     upper = mx ** polycyc.totient(d)
@@ -220,13 +223,21 @@ def _columns(n: int) -> tuple[np.ndarray, np.ndarray]:
     is below the product of the R_j, so float32 BLAS computes it exactly.
     d = 1 is the one column of ones, whose product is the row weight.  A
     coordinate with R_j > ``FLOAT32_EXACT`` is refused.
+
+    Phi_d(x) = Phi_k(x^e) for k = rad d and e = d/k, so hnf_basis(d) is
+    kron(hnf_basis(k), I_e): coordinate u*e + t of d is coordinate u of k
+    for the sub-fold f[t::e].  So only k's block A is built, d's spans are
+    k's repeated e times, and -A_d @ P is A applied to the e-wide row
+    groups of the placement P.
     """
     divisors = polycyc.divisors(n)
     tiles, owner = [], []
-    for k, d in enumerate(divisors):
+    for i, d in enumerate(divisors):
         w = n // d
-        a = np.array(hnf_basis(d) if d > 1 else np.zeros((0, 1)), dtype=np.float32)
-        span = w * (1 + np.abs(a).sum(axis=0, dtype=np.float64))
+        k = math.prod(polycyc.factorize(d))
+        e = d // k
+        a = np.array(hnf_basis(k) if k > 1 else np.zeros((0, 1)), dtype=np.float32)
+        span = np.repeat(w * (1 + np.abs(a).sum(axis=0, dtype=np.float64)), e)
         bound = int(span.max())
         if bound >= FLOAT32_EXACT:
             raise BudgetExceededError(
@@ -242,8 +253,9 @@ def _columns(n: int) -> tuple[np.ndarray, np.ndarray]:
             value *= radix
         place = np.zeros((len(span), col + 1), dtype=np.float32)
         place[np.arange(len(span)), where] = values
-        tiles.append(np.tile(np.vstack([-(a @ place), place]), (w, 1)))
-        owner += [k] * (col + 1)
+        top = -(a @ place.reshape(a.shape[1], -1)).reshape(-1, col + 1)
+        tiles.append(np.tile(np.vstack([top, place]), (w, 1)))
+        owner += [i] * (col + 1)
     group = np.zeros((len(owner), len(divisors)), dtype=np.float32)
     group[np.arange(len(owner)), owner] = 1
     return np.hstack(tiles), group
@@ -351,27 +363,12 @@ def prob_union_bruteforce(n: int, q: Fraction, model: str = "binary",
                         for w, c in enumerate(counts) if c), b ** n)
 
 
-def signed_intersection_1_2(n: int, q: Fraction) -> Fraction:
-    """Probability that a signed row hits both the d=1 and d=2 events."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    if n % 2:
-        raise ValueError("n must be even")
-    if n % 4:
-        return Fraction(0)
-    h, quarter = n // 2, n // 4
-    return Fraction(math.comb(h, quarter)) ** 2 * q**h * (1 - q) ** h
-
-
 def divisor_probability(d: int, n: int, q: Fraction, model: str = "binary",
                         budget: int = ENUMERATION_BUDGET) -> DivisorProbability:
     """Single divisor probability with the method that produced it: the one
     dispatch on d's factorization (the models differ only at d = 1)."""
-    if n < 1:
-        raise ValueError("n must be positive")
+    _check_divisor(d, n, trivial=True)
     _check_model(model)
-    if d < 1 or n % d:
-        raise ValueError(f"{d} does not divide {n}")
     binomstats._check_exact_q(q)
     if d == 1:
         # The event is row weight 0 (binary) or n/2 (signed, none for odd n).

@@ -129,11 +129,6 @@ def check_divisor_engine() -> Check:
             "divisor-6 event count is 10/64", ok and event_ok, "")
 
 
-def check_signed_intersection() -> Check:
-    ok = singexact.signed_intersection_1_2(4, HALF) == Fraction(1, 4)
-    return "signed d=1 and d=2 events intersect with probability 1/4 at n=4", ok, ""
-
-
 def check_primes_exact() -> Check:
     ok = True
     for n in (2, 3, 5, 7, 11, 13, 17, 19, 23):
@@ -178,20 +173,6 @@ def check_power_sum_asymptotics() -> Check:
             vandermonde and center and trend_ok, "")
 
 
-def check_normal_approximation() -> Check:
-    n = 1000
-    center = abs(binomstats.demoivre_approx(500, n, 0.5)
-                 / float(binomstats.binom_pdf_exact(500, n, HALF)) - 1)
-    half_width = math.floor(2 * math.sqrt(n))
-    band = max(
-        abs(binomstats.demoivre_approx(k, n, 0.5)
-            / float(binomstats.binom_pdf_exact(k, n, HALF)) - 1)
-        for k in range(500 - half_width, 500 + half_width + 1))
-    return ("normal approximation: 0.2% at center, 5% in the 2-sigma band",
-            center <= 0.002 and band <= 0.05,
-            f"center={center:.2e}, band max={band:.2e}")
-
-
 def check_monte_carlo() -> Check:
     close_ok = True
     for n, exact in ((4, 0.5), (6, 7 / 16)):
@@ -213,9 +194,8 @@ SUITES: dict[str, tuple[Callable[[], Check], ...]] = {
     "algebra": (check_cyclotomic_identities, check_prime_shift_congruence,
                 check_fold_commutes),
     "bounds": (check_divisor_bounds,),
-    "closed-forms": (check_union_closed_forms, check_divisor_engine,
-                     check_signed_intersection),
+    "closed-forms": (check_union_closed_forms, check_divisor_engine),
     "asymptotics": (check_primes_exact, check_rate_agreement,
-                    check_power_sum_asymptotics, check_normal_approximation),
+                    check_power_sum_asymptotics),
     "mc": (check_monte_carlo,),
 }

@@ -15,7 +15,7 @@ from circsing.polycyc import FirstRow, cyclotomic, singular_divisors
 from circsing.singexact import (divisor_probability, exact_union, hnf_basis,
                                 prob_bounds, prob_divisor_general,
                                 prob_union_bruteforce, prob_union_closed_form,
-                                report, signed_intersection_1_2, singular_mask)
+                                report, singular_mask)
 
 import oracles
 
@@ -160,6 +160,21 @@ class TestHnfBasis:
     def test_rejects_d1(self):
         with pytest.raises(ValueError):
             hnf_basis(1)
+
+    def test_non_squarefree_is_kron_of_radical(self):
+        # Phi_d(x) = Phi_k(x^e) for k = rad d, e = d/k: the block of d is
+        # the block of k acting on each of the e interleaved sub-rows
+        checked = 0
+        for d in range(2, 401):
+            k = math.prod(polycyc.factorize(d))
+            if k == d:
+                continue
+            dense = np.array(hnf_basis.__wrapped__(d), dtype=np.int64)
+            block = np.array(hnf_basis(k), dtype=np.int64)
+            kron = np.kron(block, np.eye(d // k, dtype=np.int64))
+            assert np.array_equal(dense, kron), d
+            checked += 1
+        assert checked == 157
 
 
 class TestGeneralDivisor:
@@ -568,6 +583,59 @@ class TestColumns:
                     reach = np.cumsum(c[used] * spans[d][used])
                     assert (c[used][1:] > reach[:-1]).all(), (n, d)
 
+    @pytest.mark.parametrize("bound", [None, 13, 16, 64])
+    def test_equal_dense_columns(self, narrow_bound, bound):
+        # the squarefree blocks give the dense blocks' columns bit for bit,
+        # and the same refusals
+        if bound:
+            narrow_bound(bound)
+        for n in [*range(1, 131), 210, 240, 360, 420, 512, 720, 1024]:
+            try:
+                want = oracles.dense_columns(n)
+            except BudgetExceededError as exc:
+                with pytest.raises(BudgetExceededError,
+                                   match=re.escape(str(exc))):
+                    singexact._columns(n)
+                continue
+            for got, dense in zip(singexact._columns(n), want):
+                assert got.dtype == dense.dtype and got.shape == dense.shape
+                assert got.tobytes() == dense.tobytes(), n
+
+    def test_cold_columns_stay_small(self):
+        # n = 4096 = 2^12: every block is built from hnf_basis(2) = [[1]];
+        # the dense blocks of d = 2^a took 80 MB at their peak
+        singexact._columns.cache_clear()
+        hnf_basis.cache_clear()
+        tracemalloc.start()
+        try:
+            singexact._columns(4096)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            singexact._columns.cache_clear()
+        assert peak < 32 << 20
+
+    def test_only_squarefree_bases_are_built(self, cold_counts, monkeypatch,
+                                             capsys):
+        seen = set()
+        real = singexact.hnf_basis
+
+        def spy(d):
+            seen.add(d)
+            return real(d)
+
+        monkeypatch.setattr(singexact, "hnf_basis", spy)
+        singexact._columns.cache_clear()
+        try:
+            assert cli.run(["mc", "--n", "360", "--q", "1/2",
+                            "--samples", "1000"]) == 0
+            report(120, THIRD)
+            exact_union(24, HALF, "signed")
+        finally:
+            singexact._columns.cache_clear()
+        assert {2, 3, 5, 6, 10, 15, 30} <= seen
+        assert all(max(polycyc.factorize(d).values()) == 1 for d in seen)
+
 
 class TestSingularMask:
     @pytest.mark.parametrize("model", ["binary", "signed"])
@@ -642,11 +710,11 @@ class TestSignedOps:
                     == divisor_probability(d, n, HALF).value)
 
     def test_intersection_examples(self):
-        assert signed_intersection_1_2(6, HALF) == 0
-        assert signed_intersection_1_2(4, HALF) == Fraction(1, 4)
-        assert signed_intersection_1_2(8, HALF) == Fraction(9, 64)
+        assert oracles.signed_intersection_1_2(6, HALF) == 0
+        assert oracles.signed_intersection_1_2(4, HALF) == Fraction(1, 4)
+        assert oracles.signed_intersection_1_2(8, HALF) == Fraction(9, 64)
         with pytest.raises(ValueError):
-            signed_intersection_1_2(5, HALF)
+            oracles.signed_intersection_1_2(5, HALF)
 
     def test_intersection_by_enumeration(self):
         hits = 0
@@ -654,7 +722,7 @@ class TestSignedOps:
             signed = [2 * b - 1 for b in bits]
             if sum(signed) == 0 and sum(c * (-1) ** i for i, c in enumerate(signed)) == 0:
                 hits += 1
-        assert signed_intersection_1_2(4, HALF) == Fraction(hits, 16)
+        assert oracles.signed_intersection_1_2(4, HALF) == Fraction(hits, 16)
 
 
 class TestContainment:
@@ -800,7 +868,7 @@ class TestNonpositiveN:
                  lambda: divisor_probability(1, n, HALF),
                  lambda: divisor_probability(2, n, HALF, "signed"),
                  lambda: divisor_probability(6, n, HALF),
-                 lambda: signed_intersection_1_2(n, HALF)]
+                 lambda: oracles.signed_intersection_1_2(n, HALF)]
         for call in calls:
             with pytest.raises(ValueError, match="n must be positive"):
                 call()
