@@ -52,8 +52,12 @@ def approx_main(n: int, q) -> AsymptoticValue:
             for k in range(terms + 1))
         return AsymptoticValue(n=n, q=qf, model="binary", value=value,
                                formula="main-theorem")
-    return AsymptoticValue(n=n, q=qf, model="binary",
-                           value=binomstats.power_sum_asymptotic(terms, p, qf),
+    try:
+        value = binomstats.power_sum_asymptotic(terms, p, qf)
+    except ValueError:
+        raise ValueError(f"main-theorem value for n={n}, q={q} is past the "
+                         "float range") from None
+    return AsymptoticValue(n=n, q=qf, model="binary", value=value,
                            formula="main-theorem-asymptotic")
 
 
@@ -72,7 +76,12 @@ def approx_closed(n: int, q) -> AsymptoticValue:
     log_value = (-0.5 * math.log(p)
                  + 0.5 * (p - 1) * (math.log(p) - math.log(2 * math.pi * qf * (1 - qf)))
                  - 0.5 * (p - 1) * math.log(n))
-    return AsymptoticValue(n=n, q=qf, model="binary", value=math.exp(log_value),
+    try:
+        value = math.exp(log_value)
+    except OverflowError:
+        raise ValueError(f"closed-form rate for n={n}, q={q} is past the "
+                         "float range") from None
+    return AsymptoticValue(n=n, q=qf, model="binary", value=value,
                            formula="closed-form-corollary")
 
 
@@ -86,8 +95,12 @@ def approx_signed(n: int, q) -> AsymptoticValue:
         raise ValueError("n must be at least 2")
     qf = binomstats._check_float_q(q)
     if n % 2 == 0 and qf == 0.5:
-        return AsymptoticValue(n=n, q=qf, model="signed",
-                               value=2 * math.sqrt(2) / math.sqrt(math.pi * n),
+        try:
+            value = 2 * math.sqrt(2) / math.sqrt(math.pi * n)
+        except OverflowError:  # n past the float range: take its log apart
+            value = 2 * math.sqrt(2) * math.exp(
+                -0.5 * (math.log(math.pi) + math.log(n)))
+        return AsymptoticValue(n=n, q=qf, model="signed", value=value,
                                formula="signed-corollary")
     return dataclasses.replace(approx_main(n, q), model="signed")
 

@@ -100,11 +100,22 @@ def power_sum_exact(n: int, m: int, q: Fraction) -> Fraction:
 
 
 def power_sum_asymptotic(n: int, m: int, q: float) -> float:
-    """Large-n approximation (2*pi*q*(1-q)*n)^(-(m-1)/2) / sqrt(m)."""
+    """Large-n approximation (2*pi*q*(1-q)*n)^(-(m-1)/2) / sqrt(m).
+
+    An n past the float range takes its logarithm apart; a value past the
+    float range is a ValueError.
+    """
     qf = _check_float_q(q)
     if m < 1:
         raise ValueError("m must be at least 1")
     if n < 1:
         raise ValueError("n must be positive")
-    return math.exp(-(m - 1) / 2 * math.log(2 * math.pi * qf * (1 - qf) * n)
-                    - 0.5 * math.log(m))
+    try:
+        log_base = math.log(2 * math.pi * qf * (1 - qf) * n)
+    except OverflowError:  # n past the float range: take its log apart
+        log_base = math.log(2 * math.pi * qf * (1 - qf)) + math.log(n)
+    try:
+        return math.exp(-(m - 1) / 2 * log_base - 0.5 * math.log(m))
+    except OverflowError:
+        raise ValueError(f"power-sum approximation for n={n}, m={m}, q={q} "
+                         "is past the float range") from None

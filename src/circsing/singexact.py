@@ -8,7 +8,8 @@ divisor events for n in {prime, prime^2, prime*prime'}, and an exhaustive
 weighted enumeration of the 2^n rows, half of them by complement symmetry,
 as the independent fallback and oracle.  Its rows, like Monte-Carlo rows,
 are decided by one exact float32 product with mixed-radix columns that
-tests every divisor at once (``_columns``).
+tests every divisor at once by lag differences of the row's fold, with no
+lattice basis or cyclotomic polynomial (``_columns``).
 Every value is an exact Fraction.
 """
 from __future__ import annotations
@@ -38,6 +39,12 @@ BRUTEFORCE_BUDGET = 1 << 26
 #: mmap threshold rises past it, later batches come from the heap, and the
 #: heap keeps them, which added a batch to peak RSS in some memory layouts.
 BATCH_BYTES = 1 << 22
+
+#: Byte bound on the ``_columns`` matrix, 4n bytes a column: it is built
+#: whole and cached before any row is tested, and grows about 4x per
+#: doubling of n (n = 65536 would take 1.9 GB), so past this bound the mask
+#: exits 3 instead of being killed for memory.  1 GiB admits n = 32768.
+COLUMN_BYTES = 1 << 30
 
 MODELS = ("binary", "signed")
 
@@ -210,55 +217,55 @@ def _columns(n: int) -> tuple[np.ndarray, np.ndarray]:
     decides every divisor event, and the 0/1 matrix that groups them by
     divisor (``_hits``).
 
-    For d | n, w = n/d and A = hnf_basis(d) (no rows for d = 1), the fold f
-    of a row to length d has entries in [0, w], and Phi_d divides the row
-    iff every coordinate of f[r:] - f[:r] @ A is 0.  Coordinate j takes
-    values in an interval of R_j = w * (1 + sum_i |A_ij|) + 1 integers that
-    holds 0.  Consecutive coordinates of d are packed into one column with
-    place values c = 1, R_0, R_0 R_1, ... while the product of their R_j
-    stays within ``FLOAT32_EXACT``; the column tile((-A @ c ; c), w) maps the
-    row to sum_j c_j * coordinate_j, which by mixed-radix uniqueness is 0 iff
-    every packed coordinate is.  Every partial sum of that product over a
-    0/1 row is at most the column's absolute sum, sum_j c_j (R_j - 1), which
-    is below the product of the R_j, so float32 BLAS computes it exactly.
-    d = 1 is the one column of ones, whose product is the row weight.  A
-    coordinate with R_j > ``FLOAT32_EXACT`` is refused.
-
-    Phi_d(x) = Phi_k(x^e) for k = rad d and e = d/k, so hnf_basis(d) is
-    kron(hnf_basis(k), I_e): coordinate u*e + t of d is coordinate u of k
-    for the sub-fold f[t::e].  So only k's block A is built, d's spans are
-    k's repeated e times, and -A_d @ P is A applied to the e-wide row
-    groups of the placement P.
+    For d | n, w = n/d and r = d - phi(d), let g be the fold of a row to
+    length d.  P_d = prod over the primes p of d of (x^(d/p) - 1) is prime
+    to Phi_d and a multiple of Psi_d = (x^d - 1)/Phi_d, so g * P_d mod
+    x^d - 1 is Psi_d * h with deg h < phi(d), and h = 0 iff Phi_d divides
+    the row.  Psi_d is monic of degree r, so that is iff every coordinate
+    j in [r, d) of the product, sum over subsets T of d's primes of
+    (-1)^|T| g[(j - sum_T d/p) mod d], is 0.  With fold entries in [0, w],
+    each takes one of R = w * 2^omega(d) + 1 values.  ``per`` consecutive
+    coordinates, the most with R^per <= ``FLOAT32_EXACT``, share a column
+    with place values 1, R, R^2, ..., so by mixed-radix uniqueness its
+    product is 0 iff each coordinate is; every partial sum over a 0/1 row
+    is at most the column's absolute sum, below R^per, so float32 BLAS is
+    exact.  d = 1 has no primes: its column of ones gives the weight.  An
+    R past ``FLOAT32_EXACT``, or columns past ``COLUMN_BYTES``, are refused
+    before any column is built.
     """
     divisors = polycyc.divisors(n)
-    tiles, owner = [], []
+    layout, owner = [], []
     for i, d in enumerate(divisors):
-        w = n // d
-        k = math.prod(polycyc.factorize(d))
-        e = d // k
-        a = np.array(hnf_basis(k) if k > 1 else np.zeros((0, 1)), dtype=np.float32)
-        span = np.repeat(w * (1 + np.abs(a).sum(axis=0, dtype=np.float64)), e)
-        bound = int(span.max())
-        if bound >= FLOAT32_EXACT:
+        lags = [(0, 1)]
+        for p in polycyc.factorize(d):
+            lags += [(s + d // p, -sign) for s, sign in lags]
+        span = n // d * len(lags)
+        if span >= FLOAT32_EXACT:
             raise BudgetExceededError(
-                f"float32 lattice test for d={d} with fold entries up to {w} "
-                f"reaches {bound} (exact below {FLOAT32_EXACT})",
-                required=bound, budget=FLOAT32_EXACT)
-        col, value, where, values = 0, 1, [], []
-        for radix in span.astype(np.int64) + 1:
-            if value * radix > FLOAT32_EXACT:
-                col, value = col + 1, 1
-            where.append(col)
-            values.append(value)
-            value *= radix
-        place = np.zeros((len(span), col + 1), dtype=np.float32)
-        place[np.arange(len(span)), where] = values
-        top = -(a @ place.reshape(a.shape[1], -1)).reshape(-1, col + 1)
-        tiles.append(np.tile(np.vstack([top, place]), (w, 1)))
-        owner += [i] * (col + 1)
+                f"float32 lattice test for d={d} with fold entries up to {n // d} "
+                f"reaches {span} (exact below {FLOAT32_EXACT})",
+                required=span, budget=FLOAT32_EXACT)
+        per = max(k for k in range(1, FLOAT32_EXACT.bit_length())
+                  if (span + 1) ** k <= FLOAT32_EXACT)
+        phi = polycyc.totient(d)
+        layout.append((d, lags, span + 1, per, phi, len(owner)))
+        owner += [i] * -(-phi // per)
+    if 4 * n * len(owner) > COLUMN_BYTES:
+        raise BudgetExceededError(
+            f"mask columns for n={n} take {4 * n * len(owner)} bytes "
+            f"(budget {COLUMN_BYTES})",
+            required=4 * n * len(owner), budget=COLUMN_BYTES)
+    cols = np.zeros((n, len(owner)), dtype=np.float32)
+    for d, lags, radix, per, phi, at in layout:
+        t = np.arange(phi)
+        col, place = at + t // per, (radix ** (t % per)).astype(np.float32)
+        for shift, sign in lags:
+            cols[(d - phi + t - shift) % d, col] += sign * place
+        own = slice(at, col[-1] + 1)
+        cols.reshape(n // d, d, -1)[1:, :, own] = cols[:d, own]
     group = np.zeros((len(owner), len(divisors)), dtype=np.float32)
     group[np.arange(len(owner)), owner] = 1
-    return np.hstack(tiles), group
+    return cols, group
 
 
 def _hits(prod: np.ndarray, n: int, model: str) -> np.ndarray:
@@ -285,8 +292,8 @@ def singular_mask(bits: np.ndarray, model: str = "binary") -> np.ndarray:
     ``bits`` is an (m, n) array of 0/1 entries, one row per line.  The d = 1
     event is row weight 0 (binary) or n/2 (signed).  Phi_d divides the
     all-ones row J for every d >= 2 dividing n, so it divides the signed row
-    2b - J iff it divides b: both models test the 0/1 rows' folds for
-    lattice membership.  One exact float32 BLAS product with the
+    2b - J iff it divides b: both models test the 0/1 rows' folds by
+    their lag differences.  One exact float32 BLAS product with the
     ``_columns`` matrix decides every divisor at once (``_hits``).
     Equivalent to ``polycyc.singular_divisors`` being nonempty, row by row.
     """

@@ -11,12 +11,10 @@ every d with two or more primes, the chunked decimal conversion checks
 output past the int-to-str digit limit, the float form of the 53-bit
 threshold test checks the Monte-Carlo row generator, the fold-down mask,
 which folds every row to every divisor in float64, checks the packed
-columns of the mask, the columns built from every divisor's dense block
-check those the mask builds from squarefree blocks, and the full
-enumeration of all 2^n rows checks the union's half enumeration.  Two
-closed forms that the library does not need are kept here for the
-acceptance suite: the signed d = 1 and d = 2 intersection, and the de
-Moivre-Laplace approximation of the binomial mass.
+columns of the mask, and the full enumeration of all 2^n rows checks the
+union's half enumeration.  Two closed forms that the library does not need
+are kept here for the acceptance suite: the signed d = 1 and d = 2
+intersection, and the de Moivre-Laplace approximation of the binomial mass.
 """
 from __future__ import annotations
 
@@ -29,7 +27,6 @@ from itertools import product
 
 import numpy as np
 
-from circsing import singexact
 from circsing.binomstats import _check_exact_q, _check_float_q
 from circsing.errors import BudgetExceededError
 from circsing.polycyc import (FirstRow, divisors, factorize, singular_divisors,
@@ -330,38 +327,6 @@ def fold_down_mask(bits: np.ndarray, signed: bool = False) -> np.ndarray:
         r = len(a)
         mask |= (g[:, r:] == g[:, :r] @ a).all(axis=1)
     return mask
-
-
-def dense_columns(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """``singexact._columns(n)`` built from the dense block hnf_basis(d) of
-    every divisor, with no radical reduction: the same packing, read at
-    call time against ``singexact.FLOAT32_EXACT``."""
-    exact = singexact.FLOAT32_EXACT
-    tiles, owner = [], []
-    for k, d in enumerate(divisors(n)):
-        w = n // d
-        a = np.array(hnf_basis(d) if d > 1 else np.zeros((0, 1)), dtype=np.float32)
-        span = w * (1 + np.abs(a).sum(axis=0, dtype=np.float64))
-        bound = int(span.max())
-        if bound >= exact:
-            raise BudgetExceededError(
-                f"float32 lattice test for d={d} with fold entries up to {w} "
-                f"reaches {bound} (exact below {exact})",
-                required=bound, budget=exact)
-        col, value, where, values = 0, 1, [], []
-        for radix in span.astype(np.int64) + 1:
-            if value * radix > exact:
-                col, value = col + 1, 1
-            where.append(col)
-            values.append(value)
-            value *= radix
-        place = np.zeros((len(span), col + 1), dtype=np.float32)
-        place[np.arange(len(span)), where] = values
-        tiles.append(np.tile(np.vstack([-(a @ place), place]), (w, 1)))
-        owner += [k] * (col + 1)
-    group = np.zeros((len(owner), len(divisors(n))), dtype=np.float32)
-    group[np.arange(len(owner)), owner] = 1
-    return np.hstack(tiles), group
 
 
 def full_weight_counts(n: int) -> tuple[int, ...]:

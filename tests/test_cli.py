@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -135,6 +136,31 @@ class TestAsymCommand:
         assert [row.approx for row in table_from_csv(out)] == [
             asym.approx_main(n, 1e-30).value for n in (4094, 4096)]
 
+    @pytest.mark.parametrize("tail", [["--signed"], ["--formula", "closed"], []])
+    def test_huge_n_takes_its_log_apart(self, capsys, tail):
+        # n = 10^400 is past the float range; n^(-1/2) is not
+        code, out, _ = run_capture(
+            capsys, ["asym", "--n", "1" + "0" * 400, "--q", "0.5", *tail])
+        assert code == 0
+        want = math.sqrt(2 / math.pi) * 1e-200 * (2 if tail == ["--signed"] else 1)
+        assert json.loads(out)["value"] == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("argv", [
+        ["--n", "2300069", "--q", "1e-300"],
+        ["--n", "2300069", "--q", "1e-300", "--formula", "closed"],
+        ["--n", "1517", "--q", "1e-30", "--formula", "closed"]])
+    def test_value_past_float_range_is_usage_error(self, capsys, argv):
+        code, out, err = run_capture(capsys, ["asym", *argv])
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"n={argv[1]}, q={argv[3]} is past the float range" in err
+
+    def test_largest_closed_rate_still_prints(self, capsys):
+        code, out, _ = run_capture(
+            capsys, ["asym", "--n", "667", "--q", "1e-30", "--formula", "closed"])
+        assert code == 0
+        assert '"value": 2.836478873094682e+304,' in out
+
     def test_closed_rejects_prime(self, capsys):
         code, _, err = run_capture(
             capsys, ["asym", "--n", "13", "--q", "0.5", "--formula", "closed"])
@@ -227,6 +253,14 @@ class TestMcCommand:
             capsys, ["mc", "--n", "4", "--q", "0.5", "--samples", "2000"])
         assert code == 3
         assert "cap" in err
+
+    def test_mask_columns_over_byte_budget(self, capsys):
+        # n = 65536 needs 1 864 368 128 bytes of columns, past 1 GiB: refused
+        # before any is allocated
+        code, out, err = run_capture(
+            capsys, ["mc", "--n", "65536", "--q", "1/2", "--samples", "1"])
+        assert code == 3 and out == ""
+        assert "take 1864368128 bytes (budget 1073741824)" in err
 
 
 class TestBudgetsAndErrors:

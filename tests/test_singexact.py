@@ -4,7 +4,7 @@ import re
 import time
 import tracemalloc
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -545,6 +545,20 @@ class TestHalfEnumeration:
         assert exact_union(10, HALF, "signed", 511) == (None, "absent-over-budget")
 
 
+def lag_patterns(d):
+    """The (d, phi(d)) matrix whose column j - r, for j in [r, d) and
+    r = d - phi(d), holds (-1)^|T| at row (j - sum_{p in T} d/p) mod d for
+    every subset T of d's primes."""
+    primes = list(polycyc.factorize(d))
+    r = d - polycyc.totient(d)
+    j = np.arange(r, d)
+    pattern = np.zeros((d, d - r), dtype=np.int64)
+    for size in range(len(primes) + 1):
+        for subset in combinations(primes, size):
+            pattern[(j - sum(d // p for p in subset)) % d, j - r] += (-1) ** size
+    return pattern
+
+
 class TestColumns:
     """The mixed-radix columns that ``_hits`` decides every divisor from."""
 
@@ -555,12 +569,10 @@ class TestColumns:
         limit = singexact.FLOAT32_EXACT
         for n in [*range(1, 131), 210, 420]:
             divisors = polycyc.divisors(n)
-            basis = {d: np.array(hnf_basis(d) if d > 1 else np.zeros((0, 1)),
-                                 dtype=np.int64) for d in divisors}
-            # coordinate j of d spans R_j - 1 = (n/d) * (1 + sum_i |A_ij|)
-            spans = {d: (n // d) * (1 + np.abs(a).sum(axis=0))
-                     for d, a in basis.items()}
-            if max(int(s.max()) for s in spans.values()) >= limit:
+            # each coordinate of d sums 2^omega(d) signed fold entries in
+            # [0, n/d], so it spans R - 1 = (n/d) * 2^omega(d)
+            spans = {d: (n // d) << len(polycyc.factorize(d)) for d in divisors}
+            if max(spans.values()) >= limit:
                 with pytest.raises(BudgetExceededError, match="float32"):
                     singexact._columns(n)
                 continue
@@ -570,42 +582,35 @@ class TestColumns:
             assert (group.sum(axis=1) == 1).all() and group[0, 0] == 1
             for k, d in enumerate(divisors):
                 own = cols[:, group[:, k] == 1].astype(np.int64)
-                a, r, w = basis[d], len(basis[d]), n // d
-                place = own[r:d]
-                assert (own == np.tile(own[:d], (w, 1))).all(), (n, d)
-                assert (own[:r] == -(a @ place)).all(), (n, d)
+                assert (own == np.tile(own[:d], (n // d, 1))).all(), (n, d)
+                # own[:d] = pattern @ place for the one integer matrix place
+                # (the lag patterns are independent), so each coordinate's
+                # +-place sits at its 2^omega(d) lags with sign (-1)^|T|
+                pattern = lag_patterns(d)
+                place = np.linalg.lstsq(pattern.astype(np.float64),
+                                        own[:d].astype(np.float64),
+                                        rcond=None)[0].round().astype(np.int64)
+                assert (pattern @ place == own[:d]).all(), (n, d)
                 # each coordinate sits in one column, and each place value
                 # passes what the coordinates below it can sum to
                 assert ((place != 0).sum(axis=1) == 1).all(), (n, d)
                 for c in place.T:
-                    used = np.flatnonzero(c)
-                    assert (c[used] > 0).all()
-                    reach = np.cumsum(c[used] * spans[d][used])
-                    assert (c[used][1:] > reach[:-1]).all(), (n, d)
+                    used = c[c != 0]
+                    assert (used > 0).all()
+                    reach = np.cumsum(used * spans[d])
+                    assert (used[1:] > reach[:-1]).all(), (n, d)
 
-    @pytest.mark.parametrize("bound", [None, 13, 16, 64])
-    def test_equal_dense_columns(self, narrow_bound, bound):
-        # the squarefree blocks give the dense blocks' columns bit for bit,
-        # and the same refusals
-        if bound:
-            narrow_bound(bound)
-        for n in [*range(1, 131), 210, 240, 360, 420, 512, 720, 1024]:
-            try:
-                want = oracles.dense_columns(n)
-            except BudgetExceededError as exc:
-                with pytest.raises(BudgetExceededError,
-                                   match=re.escape(str(exc))):
-                    singexact._columns(n)
-                continue
-            for got, dense in zip(singexact._columns(n), want):
-                assert got.dtype == dense.dtype and got.shape == dense.shape
-                assert got.tobytes() == dense.tobytes(), n
+    @pytest.mark.parametrize("n, count", [(120, 29), (127, 10), (128, 18),
+                                          (210, 52), (2310, 682)])
+    def test_column_counts(self, n, count):
+        # the benchmark's mask inputs (n = 120, 127) set the width of the
+        # product it times
+        assert singexact._columns(n)[0].shape[1] == count
 
     def test_cold_columns_stay_small(self):
-        # n = 4096 = 2^12: every block is built from hnf_basis(2) = [[1]];
-        # the dense blocks of d = 2^a took 80 MB at their peak
+        # n = 4096 = 2^12 has 448 columns: the matrix is 7.3 MB, and no
+        # larger block is built on the way
         singexact._columns.cache_clear()
-        hnf_basis.cache_clear()
         tracemalloc.start()
         try:
             singexact._columns(4096)
@@ -615,26 +620,55 @@ class TestColumns:
             singexact._columns.cache_clear()
         assert peak < 32 << 20
 
+    def test_column_bytes_refused_before_building(self, monkeypatch):
+        # n = 4096 needs 4 * 4096 * 448 bytes of columns
+        need = 4 * 4096 * 448
+        singexact._columns.cache_clear()
+        monkeypatch.setattr(singexact, "COLUMN_BYTES", need - 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceededError) as err:
+                singexact._columns(4096)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (err.value.required, err.value.budget) == (need, need - 1)
+        assert peak < need - 1
+        monkeypatch.setattr(singexact, "COLUMN_BYTES", need)
+        try:
+            assert singexact._columns(4096)[0].nbytes == need
+        finally:
+            singexact._columns.cache_clear()
+
     def test_only_squarefree_bases_are_built(self, cold_counts, monkeypatch,
                                              capsys):
-        seen = set()
-        real = singexact.hnf_basis
+        # the mask uses no lattice basis and no cyclotomic polynomial; the
+        # divisor engine builds bases for squarefree d only
+        seen = []
 
-        def spy(d):
-            seen.add(d)
-            return real(d)
+        def spy(module, name):
+            real = getattr(module, name)
 
-        monkeypatch.setattr(singexact, "hnf_basis", spy)
+            def wrapper(d):
+                seen.append((name, d))
+                return real(d)
+            monkeypatch.setattr(module, name, wrapper)
+
+        spy(singexact, "hnf_basis")
+        spy(polycyc, "cyclotomic")
         singexact._columns.cache_clear()
         try:
             assert cli.run(["mc", "--n", "360", "--q", "1/2",
                             "--samples", "1000"]) == 0
-            report(120, THIRD)
             exact_union(24, HALF, "signed")
+            assert seen == []
+            report(120, THIRD)
         finally:
             singexact._columns.cache_clear()
-        assert {2, 3, 5, 6, 10, 15, 30} <= seen
-        assert all(max(polycyc.factorize(d).values()) == 1 for d in seen)
+        # each d of 120 with two or more primes builds the basis of the
+        # product m of all but its largest prime
+        bases = {d for name, d in seen if name == "hnf_basis"}
+        assert bases == {2, 3, 6}
 
 
 class TestSingularMask:
@@ -654,8 +688,8 @@ class TestSingularMask:
             singular_mask(all_bit_rows(2), "ternary")
 
     def test_refuses_inexact_float32_test(self, monkeypatch):
-        # n = 12: the d = 2 fold has entries up to 6 and A = [[1]], so d = 2
-        # alone reaches 6 * (1 + 1) = 12
+        # n = 12: the d = 2 fold has entries up to 6 and d = 2 has one
+        # prime, so its lag differences reach 6 * 2 = 12
         singexact._columns.cache_clear()
         monkeypatch.setattr(singexact, "FLOAT32_EXACT", 12)
         try:
