@@ -75,11 +75,12 @@ class IntPolynomial:
         if len(rem) <= dd:
             return IntPolynomial(), self
         quot = [0] * (len(rem) - dd)
+        terms = [(j, g) for j, g in enumerate(divisor.coeffs) if g]
         for i in range(len(quot) - 1, -1, -1):
             c = rem[i + dd]
             if c:
                 quot[i] = c
-                for j, g in enumerate(divisor.coeffs):
+                for j, g in terms:
                     rem[i + j] -= c * g
         return IntPolynomial(quot), IntPolynomial(rem)
 
@@ -183,10 +184,7 @@ def fold(f: IntPolynomial, n: int, d: int) -> IntPolynomial:
         raise ValueError(f"{d} does not divide {n}")
     if f.degree is not None and f.degree >= n:
         raise ValueError(f"polynomial degree {f.degree} not below n={n}")
-    buckets = [0] * d
-    for i, c in enumerate(f.coeffs):
-        buckets[i % d] += c
-    return IntPolynomial(buckets)
+    return IntPolynomial(sum(f.coeffs[j::d]) for j in range(d))
 
 
 def reduce_mod_cyclotomic(f: IntPolynomial, d: int) -> IntPolynomial:

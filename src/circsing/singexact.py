@@ -2,14 +2,16 @@
 
 Every per-divisor probability for d >= 2 comes from one engine: a radical
 reduction, then the binomial power sum when d is a prime power, or else a
-CRT image sum over the exact convolution of the image law.
+CRT image sum over the exact convolution of the image law, each image the
+sub-row's lag differences packed into one int.
 Unions over all divisors use one inclusion-exclusion over the prime-power
 divisor events for n in {prime, prime^2, prime*prime'}, and an exhaustive
 weighted enumeration of the 2^n rows, half of them by complement symmetry,
 as the independent fallback and oracle.  Its rows, like Monte-Carlo rows,
 are decided by one exact float32 product with mixed-radix columns that
-tests every divisor at once by lag differences of the row's fold, with no
-lattice basis or cyclotomic polynomial (``_columns``).
+tests every divisor at once by lag differences of the row's fold
+(``_columns``).  Both key divisibility by ``_lags``, so no compute path
+builds a lattice basis or a cyclotomic polynomial.
 Every value is an exact Fraction.
 """
 from __future__ import annotations
@@ -68,6 +70,10 @@ def hnf_basis(d: int) -> tuple[tuple[int, ...], ...]:
     Since Phi_d divides x^d - 1, x^-rank = x^phi(d) modulo Phi_d, so
     A[i] = -(x^(phi(d) + i) mod Phi_d): start from -(x^phi mod Phi_d), the
     low coefficients of Phi_d, and multiply by x and reduce once per row.
+
+    No library path calls it: the mask and the divisor engine key
+    divisibility by lag differences (``_lags``).  It is the independent
+    lattice route that the test oracles check them against.
     """
     if d < 2:
         raise ValueError("d must be at least 2")
@@ -123,6 +129,18 @@ def _check_work(visited: int, budget: int, d: int, n: int) -> None:
             f"candidates (budget {budget})", required=visited, budget=budget)
 
 
+def _lags(d: int) -> list[tuple[int, int]]:
+    """The (shift, sign) pair of each subset T of d's primes: shift is the
+    sum over T of d/p and sign is (-1)^|T|.  A length-d vector g is a
+    multiple of Phi_d modulo x^d - 1 iff each lag difference
+    sum of sign * g[(j - shift) mod d], for j in [d - phi(d), d), is 0
+    (``_columns`` says why)."""
+    lags = [(0, 1)]
+    for p in polycyc.factorize(d):
+        lags += [(s + d // p, -sign) for s, sign in lags]
+    return lags
+
+
 def prob_divisor_general(d: int, n: int, q: Fraction,
                          budget: int = ENUMERATION_BUDGET) -> Fraction:
     """Exact divisor probability for any d | n, d >= 2, by a CRT image sum.
@@ -130,10 +148,14 @@ def prob_divisor_general(d: int, n: int, q: Fraction,
     Phi_d(x) = Phi_k(x^e) for k = rad d and e = d/k, so P(d, n) = P(k, n/e)^e
     over the e independent sub-rows s[j::e] of the fold.  For k = p*m, p the
     largest prime, Phi_k divides a row iff its p sub-rows of length m share
-    one image s[r:] - s[:r] @ A in Z[x]/Phi_m (A = hnf_basis(m); de
-    Bruijn 1953), so P(k, n/e) = sum_v pi_m(v)^p for pi_m the image law under
-    iid Binomial(n/d, q) entries: the binomial power sum when m = 1, else the
-    convolution of the m coordinate laws, folded in one at a time.  Refuses
+    one image in Z[x]/Phi_m (de Bruijn 1953), so P(k, n/e) = sum_v pi_m(v)^p
+    for pi_m the image law under iid Binomial(w, q) entries, w = n/d: the
+    binomial power sum when m = 1, else the convolution of the m coordinate
+    laws, folded in one at a time.  The image of a sub-row is its lag key:
+    the top phi(m) lag differences (``_lags``), all 0 iff Phi_m divides it,
+    as balanced digits of one int in base R = w * 2^omega(m) + 1.  Entries
+    in [0, w] keep each difference within +-(R - 1)/2, so the digits are
+    unique and equal keys are equal images.  Refuses
     exponent n by ``binomstats.check_exponent`` (the value is over b^n), and
     a fold step once the (image, k) candidates visited must pass ``budget``.
     """
@@ -144,26 +166,26 @@ def prob_divisor_general(d: int, n: int, q: Fraction,
     e, w = d // (p * m), n // d
     if m == 1:
         return binomstats.power_sum_exact(w, p, q) ** e
-    # Unit vector e_i maps to -A[i] for i < r and to e_(i-r) of Z^(m-r) after.
-    tail = hnf_basis(m)
-    r = len(tail)
-    steps = [tuple(-x for x in row) for row in tail]
-    steps += [tuple(int(j == i) for j in range(m - r)) for i in range(m - r)]
+    # Unit vector e_i adds sign * R^(j - r) at each lag position j >= r.
+    lags = _lags(m)
+    r, radix = m - polycyc.totient(m), w * len(lags) + 1
+    steps = [sum(sign * radix ** (j - r) for shift, sign in lags
+                 if (j := (i + shift) % m) >= r) for i in range(m)]
     # No step is zero, so step 0 takes the one image to w + 1 and step 1
     # visits (w + 1)^2 more candidates: refuse those before the masses exist.
     _check_work(w + 1, budget, d, n)
     _check_work((w + 1) * (w + 2), budget, d, n)
     mass = list(binomstats.mass_numerators(w, q))
-    law = {(0,) * (m - r): 1}
+    law = {0: 1}
     visited = 0
     for i, step in enumerate(steps):
         # Each image keeps its k = 0 term: every step left visits >= this step.
         _check_work(visited + len(law) * (w + 1) * (len(steps) - i), budget, d, n)
         visited += len(law) * (w + 1)
-        folded: dict[tuple[int, ...], int] = {}
+        folded: dict[int, int] = {}
         for image, num in law.items():
             for k, mk in enumerate(mass):
-                key = tuple(v + k * c for v, c in zip(image, step))
+                key = image + k * step
                 folded[key] = folded.get(key, 0) + num * mk
         law = folded
     log.debug("CRT image sum d=%d n=%d: kept %d of %d candidates",
@@ -188,7 +210,7 @@ def prob_union_closed_form(n: int, q: Fraction) -> Fraction | None:
     For these n the union is that of the prime-power events Phi_d | f, d = p^a
     dividing n (the d = 1 and d = n = p*r events lie inside them), and any two
     of those meet only in the two constant rows: so the union is the sum of
-    P(d, n) = power_sum_exact(n/d, p, q)^(d/p) less (k - 1) times
+    P(d, n), each the engine's binomial power sum, less (k - 1) times
     q^n + (1-q)^n, for k such d.  Refuses exponent n by
     ``binomstats.check_exponent``.
     """
@@ -199,9 +221,8 @@ def prob_union_closed_form(n: int, q: Fraction) -> Fraction | None:
     if sorted(fac.values()) not in ([1], [2], [1, 1]):
         return None
     binomstats.check_exponent(n, q, f"closed-form union for n={n} needs exponent {n}")
-    events = [(p, p ** a) for p, k in fac.items() for a in range(1, k + 1)]
-    union = sum(binomstats.power_sum_exact(n // d, p, q) ** (d // p)
-                for p, d in events)
+    events = [p ** a for p, k in fac.items() for a in range(1, k + 1)]
+    union = sum(prob_divisor_general(d, n, q) for d in events)
     if len(events) > 1:
         union -= (len(events) - 1) * (q ** n + (1 - q) ** n)
     return union
@@ -236,14 +257,12 @@ def _columns(n: int) -> tuple[np.ndarray, np.ndarray]:
     divisors = polycyc.divisors(n)
     layout, owner = [], []
     for i, d in enumerate(divisors):
-        lags = [(0, 1)]
-        for p in polycyc.factorize(d):
-            lags += [(s + d // p, -sign) for s, sign in lags]
+        lags = _lags(d)
         span = n // d * len(lags)
         if span >= FLOAT32_EXACT:
             raise BudgetExceededError(
-                f"float32 lattice test for d={d} with fold entries up to {n // d} "
-                f"reaches {span} (exact below {FLOAT32_EXACT})",
+                f"float32 lag-difference test for d={d} with fold entries "
+                f"up to {n // d} reaches {span} (exact below {FLOAT32_EXACT})",
                 required=span, budget=FLOAT32_EXACT)
         per = max(k for k in range(1, FLOAT32_EXACT.bit_length())
                   if (span + 1) ** k <= FLOAT32_EXACT)

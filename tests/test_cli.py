@@ -393,6 +393,14 @@ class TestVerifyCommand:
         assert out.strip().startswith("algebra: PASS")
         assert err == ""
 
+    @pytest.mark.parametrize("suite", ["bounds", "closed-forms",
+                                       "asymptotics", "mc"])
+    def test_suite_passes(self, capsys, suite):
+        code, out, err = run_capture(capsys, ["verify", "--suite", suite])
+        assert code == 0
+        assert out.strip().startswith(f"{suite}: PASS")
+        assert err == ""
+
 
 @pytest.mark.parametrize("n", ["0", "-6"])
 @pytest.mark.parametrize("tail", [["divisor", "--d", "1"], ["divisor", "--d", "2"],

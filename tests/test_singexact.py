@@ -228,7 +228,9 @@ class TestGeneralDivisor:
 
         cases = [(d, n) for n in range(2, 121) for d in polycyc.divisors(n)
                  if len(polycyc.factorize(d)) > 1]
-        cases += [(6, 600), (10, 2000), (35, 350)]
+        # (30, 240) is the first case with omega(m) = 2 and w = 8: the lag
+        # key's digits reach +-16 of its radix R = 33
+        cases += [(6, 600), (10, 2000), (35, 350), (30, 240)]
         for q in (HALF, THIRD):
             caplog.clear()
             with caplog.at_level(logging.DEBUG):
@@ -642,8 +644,8 @@ class TestColumns:
 
     def test_only_squarefree_bases_are_built(self, cold_counts, monkeypatch,
                                              capsys):
-        # the mask uses no lattice basis and no cyclotomic polynomial; the
-        # divisor engine builds bases for squarefree d only
+        # no compute path builds a lattice basis or a cyclotomic polynomial:
+        # the mask, the union and the divisor engine key by lag differences
         seen = []
 
         def spy(module, name):
@@ -661,14 +663,11 @@ class TestColumns:
             assert cli.run(["mc", "--n", "360", "--q", "1/2",
                             "--samples", "1000"]) == 0
             exact_union(24, HALF, "signed")
-            assert seen == []
             report(120, THIRD)
+            prob_divisor_general(105, 105, THIRD)
         finally:
             singexact._columns.cache_clear()
-        # each d of 120 with two or more primes builds the basis of the
-        # product m of all but its largest prime
-        bases = {d for name, d in seen if name == "hnf_basis"}
-        assert bases == {2, 3, 6}
+        assert seen == []
 
 
 class TestSingularMask:
@@ -688,12 +687,14 @@ class TestSingularMask:
             singular_mask(all_bit_rows(2), "ternary")
 
     def test_refuses_inexact_float32_test(self, monkeypatch):
-        # n = 12: the d = 2 fold has entries up to 6 and d = 2 has one
-        # prime, so its lag differences reach 6 * 2 = 12
+        # n = 12: the weight (d = 1, no primes) reaches 12, and so do the
+        # lag differences of the d = 2 fold, 6 * 2; d = 1 is refused first
         singexact._columns.cache_clear()
         monkeypatch.setattr(singexact, "FLOAT32_EXACT", 12)
         try:
-            with pytest.raises(BudgetExceededError, match="float32"):
+            with pytest.raises(BudgetExceededError,
+                               match="float32 lag-difference test for d=1 "
+                                     "with fold entries up to 12 reaches 12"):
                 singular_mask(periodic_and_random_rows(12))
         finally:
             singexact._columns.cache_clear()
@@ -817,10 +818,14 @@ class TestReport:
             return engine(*args, **kwargs)
         monkeypatch.setattr(singexact, "prob_divisor_general", counting_engine)
         rows = asym.convergence_table(HALF, range(2, 17))
-        assert calls == []
+        # the closed-form union sums the engine's prime-power events, each a
+        # binomial power sum; no d with two primes runs the CRT image sum
+        table_calls = len(calls)
+        assert all(len(polycyc.factorize(d)) == 1 for d, *_ in calls)
         assert [r.exact for r in rows] == [report(n, HALF).exact_union
                                            for n in range(2, 17)]
-        assert calls  # report itself goes through the engine for d = 6, 10, ...
+        # report itself goes through the engine for d = 6, 10, ...
+        assert any(len(polycyc.factorize(d)) > 1 for d, *_ in calls[table_calls:])
 
     def test_signed_strategies(self):
         assert report(2, HALF, "signed").exact_union == 1
