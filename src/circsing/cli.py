@@ -178,7 +178,10 @@ def _cmd_table(args) -> int:
 
 def _cmd_mc(args) -> int:
     q = parse_q(args.q)
-    cap = int(os.environ.get("CIRCSING_SAMPLES_CAP", DEFAULT_SAMPLES_CAP))
+    try:
+        cap = int(os.environ.get("CIRCSING_SAMPLES_CAP", DEFAULT_SAMPLES_CAP))
+    except ValueError:
+        raise ValueError("CIRCSING_SAMPLES_CAP must be an integer") from None
     if args.samples > cap:
         raise BudgetExceededError(
             f"{args.samples} samples exceed the cap {cap}",

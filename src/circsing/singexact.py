@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import logging
 import math
 from fractions import Fraction
@@ -121,14 +122,6 @@ def _check_divisor(d: int, n: int, trivial: bool = False) -> None:
         raise ValueError(f"{d} does not divide {n}")
 
 
-def _check_work(visited: int, budget: int, d: int, n: int) -> None:
-    """Refuse once the CRT convolution must visit more than ``budget``."""
-    if visited > budget:
-        raise BudgetExceededError(
-            f"CRT image sum for d={d}, n={n} visits {visited} "
-            f"candidates (budget {budget})", required=visited, budget=budget)
-
-
 def _lags(d: int) -> list[tuple[int, int]]:
     """The (shift, sign) pair of each subset T of d's primes: shift is the
     sum over T of d/p and sign is (-1)^|T|.  A length-d vector g is a
@@ -155,9 +148,9 @@ def prob_divisor_general(d: int, n: int, q: Fraction,
     the top phi(m) lag differences (``_lags``), all 0 iff Phi_m divides it,
     as balanced digits of one int in base R = w * 2^omega(m) + 1.  Entries
     in [0, w] keep each difference within +-(R - 1)/2, so the digits are
-    unique and equal keys are equal images.  Refuses
-    exponent n by ``binomstats.check_exponent`` (the value is over b^n), and
-    a fold step once the (image, k) candidates visited must pass ``budget``.
+    unique and equal keys are equal images.  Refuses exponent n by
+    ``binomstats.check_exponent``, and a fold step once a lower bound on the
+    candidates of the full run, exact at the last step, passes ``budget``.
     """
     _check_divisor(d, n)
     binomstats.check_exponent(n, q, f"divisor d={d} of n={n} needs exponent {n}")
@@ -167,20 +160,30 @@ def prob_divisor_general(d: int, n: int, q: Fraction,
     if m == 1:
         return binomstats.power_sum_exact(w, p, q) ** e
     # Unit vector e_i adds sign * R^(j - r) at each lag position j >= r.
+    # Each image keeps its k = 0 term, so the law never shrinks; a step that
+    # reaches a lag position no earlier step reached puts k * sign in [-w, w]
+    # at a digit that is 0 in every key, so the law grows by exactly w + 1.
     lags = _lags(m)
     r, radix = m - polycyc.totient(m), w * len(lags) + 1
-    steps = [sum(sign * radix ** (j - r) for shift, sign in lags
-                 if (j := (i + shift) % m) >= r) for i in range(m)]
-    # No step is zero, so step 0 takes the one image to w + 1 and step 1
-    # visits (w + 1)^2 more candidates: refuse those before the masses exist.
-    _check_work(w + 1, budget, d, n)
-    _check_work((w + 1) * (w + 2), budget, d, n)
-    mass = list(binomstats.mass_numerators(w, q))
-    law = {0: 1}
-    visited = 0
-    for i, step in enumerate(steps):
-        # Each image keeps its k = 0 term: every step left visits >= this step.
-        _check_work(visited + len(law) * (w + 1) * (len(steps) - i), budget, d, n)
+    reaches, growth, seen = [], [], set()
+    for i in range(m):
+        reach = {j: sign for shift, sign in lags if (j := (i + shift) % m) >= r}
+        growth.append(w + 1 if reach.keys() - seen else 1)
+        seen |= reach.keys()
+        reaches.append(reach)
+    # tail[i]: candidates steps i.. visit at least, for each image
+    tail = list(itertools.accumulate(reversed(growth), lambda t, g: w + 1 + g * t,
+                                     initial=0))[::-1]
+    law, visited, mass = {0: 1}, 0, []
+    for reach, t in zip(reaches, tail):
+        required = visited + len(law) * t
+        if required > budget:
+            raise BudgetExceededError(
+                f"CRT image sum for d={d}, n={n} visits {required} "
+                f"candidates (budget {budget})", required=required, budget=budget)
+        # only a step that fits builds its int (step 0: the w + 1 masses too)
+        mass = mass or list(binomstats.mass_numerators(w, q))
+        step = sum(sign * radix ** (j - r) for j, sign in reach.items())
         visited += len(law) * (w + 1)
         folded: dict[int, int] = {}
         for image, num in law.items():
@@ -295,13 +298,13 @@ def _hits(prod: np.ndarray, n: int, model: str) -> np.ndarray:
     ``prod`` is overwritten by its absolute value, which leaves column 0,
     the weight, as it was.  A sum of nonnegative floats is 0 iff every term
     is, so the group matrix times ``abs(prod)`` is 0 exactly where all of
-    d's columns are, at any magnitude.  The signed d = 1 event is weight
-    n/2, not 0.
+    d's columns are, at any magnitude.  Its d = 1 row is the weight: the
+    signed d = 1 event is weight n/2, not 0.
     """
-    np.abs(prod, out=prod)
-    hits = _columns(n)[1].T @ prod.T == 0
+    sums = _columns(n)[1].T @ np.abs(prod, out=prod).T
+    hits = sums == 0
     if model == "signed":
-        hits[0] = 2 * prod[:, 0] == n
+        hits[0] = 2 * sums[0] == n
     return hits
 
 
@@ -322,13 +325,13 @@ def singular_mask(bits: np.ndarray, model: str = "binary") -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=64)
-def _singular_weight_counts(n: int) -> tuple[int, ...]:
-    """Count singular binary rows among all 2^n, grouped by number of one bits.
+def _singular_weight_counts(n: int, model: str = "binary") -> tuple[int, ...]:
+    """Count singular rows among all 2^n, grouped by number of one bits.
 
     Only the 2^(n-1) rows b with b[n-1] = 0 are tested, for n >= 2: b and
     its complement J - b, of weight n - w for b's w, share every d >= 2
-    event (Phi_d divides J), and the d = 1 event, b = 0, has the singular
-    complement J, so each count c over weights adds c + c[::-1].
+    event (Phi_d divides J) and the d = 1 event (b = 0 and J are both
+    singular; weight n/2 maps to itself), so the counts c add c + c[::-1].
 
     The rows go in chunks of 2^low, the most whose ``_columns`` product
     fits ``BATCH_BYTES`` at 4n bytes a row.  The chunks share their low
@@ -338,7 +341,7 @@ def _singular_weight_counts(n: int) -> tuple[int, ...]:
     ``FLOAT32_EXACT``, so the sum is exact; its column 0 is the weight.
     """
     if n == 1:
-        return (1, 0)
+        return (1, 0) if model == "binary" else (0, 0)
     low = min(n - 1, (BATCH_BYTES // (4 * n)).bit_length() - 1)
     cols, _ = _columns(n)
     idx = np.arange(1 << low, dtype=np.int32)
@@ -348,8 +351,8 @@ def _singular_weight_counts(n: int) -> tuple[int, ...]:
     for high in range(1 << (n - 1 - low)):
         high_bits = (high >> np.arange(n - 1 - low)) & 1
         prod = low_proj + high_bits.astype(np.float32) @ cols[low:n - 1]
-        singular = _hits(prod, n, "binary").any(axis=0)
-        c = np.bincount(prod[singular, 0].astype(np.int64), minlength=n + 1)
+        singular = _hits(prod, n, model).any(axis=0)
+        c = np.bincount(prod[:, 0][singular].astype(np.int64), minlength=n + 1)
         counts += c + c[::-1]
     return tuple(int(c) for c in counts)
 
@@ -377,14 +380,7 @@ def prob_union_bruteforce(n: int, q: Fraction, model: str = "binary",
         raise BudgetExceededError(
             f"brute force for n={n} needs 2^{n - 1} rows (budget {budget})",
             required=1 << (n - 1), budget=budget)
-    counts = list(_singular_weight_counts(n))
-    if model == "signed":
-        # The models differ only in the d = 1 event (see singular_mask): the
-        # zero row is -J, singular iff n >= 2; every half-weight row is singular.
-        counts[0] = int(n >= 2)
-        if n % 2 == 0:
-            counts[n // 2] = math.comb(n, n // 2)
-    a, b = q.numerator, q.denominator
+    counts, a, b = _singular_weight_counts(n, model), q.numerator, q.denominator
     return Fraction(sum(c * a ** w * (b - a) ** (n - w)
                         for w, c in enumerate(counts) if c), b ** n)
 

@@ -329,8 +329,8 @@ def fold_down_mask(bits: np.ndarray, signed: bool = False) -> np.ndarray:
     return mask
 
 
-def full_weight_counts(n: int) -> tuple[int, ...]:
-    """Singular binary rows among all 2^n, grouped by weight: every row goes
+def full_weight_counts(n: int, model: str = "binary") -> tuple[int, ...]:
+    """Singular rows among all 2^n, grouped by weight: every row goes
     through ``singular_mask``, in chunks of at most 2^16 rows, with no
     complement symmetry and no shared projection."""
     counts = np.zeros(n + 1, dtype=np.int64)
@@ -338,7 +338,8 @@ def full_weight_counts(n: int) -> tuple[int, ...]:
         idx = np.arange(start, min(start + (1 << 16), 1 << n), dtype=np.int64)
         bits = ((idx[:, None] >> np.arange(n)) & 1).astype(np.int8)
         weight = bits.sum(axis=1)
-        counts += np.bincount(weight[singular_mask(bits)], minlength=n + 1)
+        singular = singular_mask(bits, model)
+        counts += np.bincount(weight[singular], minlength=n + 1)
     return tuple(int(c) for c in counts)
 
 

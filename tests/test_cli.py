@@ -254,6 +254,13 @@ class TestMcCommand:
         assert code == 3
         assert "cap" in err
 
+    def test_samples_cap_not_an_integer(self, capsys, monkeypatch):
+        monkeypatch.setenv("CIRCSING_SAMPLES_CAP", "abc")
+        code, out, err = run_capture(
+            capsys, ["mc", "--n", "4", "--q", "0.5", "--samples", "10"])
+        assert code == 2 and out == ""
+        assert "CIRCSING_SAMPLES_CAP must be an integer" in err
+
     def test_mask_columns_over_byte_budget(self, capsys):
         # n = 65536 needs 1 864 368 128 bytes of columns, past 1 GiB: refused
         # before any is allocated

@@ -298,20 +298,43 @@ class TestGeneralDivisor:
                 == oracles.crt_enumeration_probability(70, 140, THIRD))
 
     def test_work_budget_refuses_quickly(self):
-        # d = n = 667 = 29 * 23: m = 23, w = 1, and the law doubles at each
-        # of the first fold steps; before step 5 it has visited 2 + ... + 2^5
-        # and its 2^5 images need 2^6 more at each of the 18 steps left, so
-        # it refuses there; at the default budget its law would take GBs
+        # d = n = 667 = 29 * 23: m = 23, w = 1, and each of fold steps 0..21
+        # reaches a new lag position and doubles the law, so the full run
+        # visits 2 + 4 + ... + 2^22 + 2^23 = 2^24 - 2 candidates, and that is
+        # the bound before step 0; the last steps' law would take GBs
         start = time.perf_counter()
         with pytest.raises(BudgetExceededError) as err:
             prob_divisor_general(667, 667, THIRD, budget=1000)
-        assert (err.value.required, err.value.budget) == (62 + 64 * 18, 1000)
+        assert (err.value.required, err.value.budget) == ((1 << 24) - 2, 1000)
         # d = 6 at n = 199998: w = 33333, and step 1 would visit (w + 1)^2
         # candidates; refused before the w + 1 masses of ~w*log2(3) bits exist
         with pytest.raises(BudgetExceededError) as err:
             prob_divisor_general(6, 199998, THIRD)
         assert err.value.required == 33334 + 33334 ** 2
         assert time.perf_counter() - start < 10
+
+    def test_over_budget_law_is_never_built(self):
+        # the same d = n = 667 at the default budget: refused before step 0,
+        # so no law of 2^21 entries (hundreds of MB) is built first
+        start = time.perf_counter()
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceededError) as err:
+                prob_divisor_general(667, 667, THIRD)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert err.value.required == (1 << 24) - 2
+        assert time.perf_counter() - start < 1
+        assert peak < 8 << 20
+
+    def test_growth_pass_is_linear_in_steps(self):
+        # d = n = 170170 = 17 * 10010: 10010 fold steps of 32 lags each; the
+        # steps that reach new lag positions are found in one forward pass
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceededError):
+            prob_divisor_general(170170, 170170, THIRD)
+        assert time.perf_counter() - start < 5
 
     def test_refusal_set_is_total_work_within_budget(self, caplog):
         # refusing as soon as the steps left must pass the budget refuses
@@ -453,12 +476,6 @@ class TestBruteForce:
             singexact._singular_weight_counts.cache_clear()
         assert got == want
 
-    def test_signed_reuses_binary_enumeration(self):
-        prob_union_bruteforce(14, THIRD)
-        misses = singexact._singular_weight_counts.cache_info().misses
-        prob_union_bruteforce(14, THIRD, "signed")
-        assert singexact._singular_weight_counts.cache_info().misses == misses
-
 
 @pytest.fixture
 def narrow_bound(monkeypatch):
@@ -485,6 +502,12 @@ class TestHalfEnumeration:
         for n in range(1, 19):
             assert singexact._singular_weight_counts(n) == \
                 oracles.full_weight_counts(n), n
+
+    def test_signed_matches_full_enumeration(self, cold_counts):
+        # the signed d = 1 event, weight n/2, is its own complement's
+        for n in range(1, 19):
+            assert singexact._singular_weight_counts(n, "signed") == \
+                oracles.full_weight_counts(n, "signed"), n
 
     @pytest.mark.parametrize("bound", [13, 16, 64])
     def test_matches_full_enumeration_narrow_bound(self, cold_counts,
@@ -857,9 +880,10 @@ class TestReport:
         assert rep.exact_union is None
         assert rep.provenance == "absent-over-budget"
         omitted = dict(rep.omitted)
-        # candidates visited at refusal: 7, 4, 3 + 9 and 2 + 4
+        # each refuses before fold step 0, at the full run's (w + 1)(w + 2)
+        # candidates for w = 6, 3, 2, 1
         assert set(omitted) == {6, 12, 18, 36}
-        for d, visited in ((6, 7), (12, 4), (18, 12), (36, 6)):
+        for d, visited in ((6, 56), (12, 20), (18, 12), (36, 6)):
             assert f"visits {visited} candidates (budget 3)" in omitted[d]
         assert {dp.d for dp in rep.per_divisor}.isdisjoint(omitted)
         assert set(rep.bounds) == {d for d in polycyc.divisors(36) if d > 1}
