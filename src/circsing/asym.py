@@ -30,11 +30,11 @@ class AsymptoticValue:
 def approx_main(n: int, q) -> AsymptoticValue:
     """Dominant-divisor approximation: sum_k mass(k, n/p)^p for p = p(n).
 
-    Exact (then rounded once) for rational q and small n that the exponent
-    budget admits; summed in the log domain otherwise; replaced by the
-    power-sum approximation when the number of summands exceeds
-    FLOAT_SUM_LIMIT, which the formula tag records.  For prime n the value
-    is the exact union probability.
+    Exact (the engine's P(Phi_p | f), rounded once) for rational q and small
+    n that the exponent budget admits; summed in the log domain otherwise;
+    replaced by the power-sum approximation when the number of summands
+    exceeds FLOAT_SUM_LIMIT, which the formula tag records.  For prime n the
+    value is the exact union probability.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
@@ -42,7 +42,7 @@ def approx_main(n: int, q) -> AsymptoticValue:
     terms = n // p
     if isinstance(q, Fraction) and n <= EXACT_SUM_LIMIT:
         with contextlib.suppress(BudgetExceededError):
-            value = float(binomstats.power_sum_exact(terms, p, q))
+            value = float(singexact.prob_divisor_general(p, n, q))
             return AsymptoticValue(n=n, q=float(q), model="binary", value=value,
                                    formula="main-theorem")
     qf = binomstats._check_float_q(q)
@@ -141,7 +141,7 @@ def convergence_table(q, n_list, model: str = "binary",
             ratio = None
         elif av.value == 0.0 and av.formula == "main-theorem":
             p = polycyc.smallest_prime(n)
-            ratio = float(exact / binomstats.power_sum_exact(n // p, p, q))
+            ratio = float(exact / singexact.prob_divisor_general(p, n, q))
         else:
             ratio = float(exact) / av.value
         rows.append(ConvergenceRow(n=n, exact=exact, approx=av.value,

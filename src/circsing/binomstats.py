@@ -85,8 +85,11 @@ def mass_numerators(n: int, q: Fraction) -> Iterator[int]:
 def power_sum_exact(n: int, m: int, q: Fraction) -> Fraction:
     """Exact sum over k of the m-th power of the binomial mass.
 
-    Streams the integer numerators over the common denominator
-    denom(q)^(n*m), so no gcd work happens until the final reduction.
+    The numerators x_k = C(n,k) a^k c^(n-k) over b^n, c = b - a, have the
+    term ratio x_(k+1) / x_k = (n - k) a / ((k + 1) c), so the sum of the
+    x_k^m is x_0^m (1 + T/Q) for the binary splitting (P, Q, T) of the
+    ratios' m-th powers (Haible and Papanikolaou, ANTS 1998): a product
+    tree of small factors, then one exact division, in quasi-linear time.
     Refuses exponent n*m by ``check_exponent``.
     """
     _check_exact_q(q)
@@ -95,8 +98,28 @@ def power_sum_exact(n: int, m: int, q: Fraction) -> Fraction:
     if n < 0:
         raise ValueError("n must be nonnegative")
     check_exponent(n * m, q, f"power sum needs {n * m} term-power operations")
-    return Fraction(sum(x ** m for x in mass_numerators(n, q)),
-                    q.denominator ** (n * m))
+    if n == 0:
+        return Fraction(1)
+    a, b = q.numerator, q.denominator
+
+    def split(lo: int, hi: int) -> tuple[int, int, int]:
+        # ratios j in [lo, hi): P and Q multiply their numerators and
+        # denominators, T / Q sums their prefix products
+        if hi - lo == 1:
+            x = ((n - lo) * a) ** m
+            return x, ((lo + 1) * (b - a)) ** m, x
+        mid = (lo + hi) // 2
+        p1, q1, t1 = split(lo, mid)
+        p2, q2, t2 = split(mid, hi)
+        return p1 * p2, q1 * q2, t1 * q2 + p1 * t2
+
+    _, den, t = split(0, n)
+    scale = b ** (n * m)
+    # The sum is an integer of at most scale, so with den cut to 2 bits
+    # past scale the cut quotient lies within 1/2 of it: rounding is exact.
+    s = max(0, den.bit_length() - scale.bit_length() - 2)
+    num, den = (b - a) ** (n * m) * (den + t) >> s, den >> s
+    return Fraction((2 * num + den) // (2 * den), scale)
 
 
 def power_sum_asymptotic(n: int, m: int, q: float) -> float:

@@ -84,13 +84,24 @@ def digits(x: int) -> str:
     return str(decimal.Decimal(x))
 
 
+def decimal_view(x: Fraction) -> str:
+    """x rounded to 15 significant digits.  Below the smallest normal float
+    the float has lost digits, so there decimal rounds x itself."""
+    if x == 0 or abs(float(x)) >= sys.float_info.min:
+        return f"{float(x):.15g}"
+    with decimal.localcontext() as ctx:
+        ctx.prec = 15
+        value = decimal.Decimal(x.numerator) / x.denominator
+    return f"{value.normalize():.15g}"
+
+
 def to_json(x):
-    """JSON form of a result: a Fraction as num/den digit strings plus a
+    """JSON form of a result: a Fraction as num/den digit strings plus its
     decimal view, a dataclass as its fields in declaration order, a list or
     tuple as a list, anything else as it is."""
     if isinstance(x, Fraction):
         return {"num": digits(x.numerator), "den": digits(x.denominator),
-                "decimal": f"{float(x):.15g}"}
+                "decimal": decimal_view(x)}
     if dataclasses.is_dataclass(x):
         return {f.name: to_json(getattr(x, f.name)) for f in dataclasses.fields(x)}
     if isinstance(x, (list, tuple)):
@@ -154,11 +165,10 @@ def table_to_csv(rows: list[asym.ConvergenceRow]) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(TABLE_COLUMNS)
     for row in rows:
+        exact = ("", "", "") if row.exact is None else to_json(row.exact).values()
         writer.writerow([
             row.n,
-            "" if row.exact is None else digits(row.exact.numerator),
-            "" if row.exact is None else digits(row.exact.denominator),
-            "" if row.exact is None else f"{float(row.exact):.15g}",
+            *exact,
             repr(row.approx),
             "" if row.ratio is None else repr(row.ratio),
             row.formula,

@@ -235,7 +235,9 @@ def prob_union_closed_form(n: int, q: Fraction) -> Fraction | None:
 FLOAT32_EXACT = 1 << 24
 
 
-@functools.lru_cache(maxsize=None)
+# Each command uses one n, and n = 16384 alone takes 112 MiB of columns:
+# a library loop over many n keeps only the last few.
+@functools.lru_cache(maxsize=4)
 def _columns(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The float32 columns whose exact product with 0/1 rows of length n
     decides every divisor event, and the 0/1 matrix that groups them by

@@ -11,10 +11,12 @@ every d with two or more primes, the chunked decimal conversion checks
 output past the int-to-str digit limit, the float form of the 53-bit
 threshold test checks the Monte-Carlo row generator, the fold-down mask,
 which folds every row to every divisor in float64, checks the packed
-columns of the mask, and the full enumeration of all 2^n rows checks the
-union's half enumeration.  Two closed forms that the library does not need
-are kept here for the acceptance suite: the signed d = 1 and d = 2
-intersection, and the de Moivre-Laplace approximation of the binomial mass.
+columns of the mask, the full enumeration of all 2^n rows checks the
+union's half enumeration, and the streamed sum of the mass numerators'
+powers checks the power sum's binary splitting.  Two closed forms that the
+library does not need are kept here for the acceptance suite: the signed
+d = 1 and d = 2 intersection, and the de Moivre-Laplace approximation of
+the binomial mass.
 """
 from __future__ import annotations
 
@@ -356,6 +358,18 @@ def max_pdf_by_scan(n: int, q: Fraction) -> tuple[int, Fraction]:
 def power_sum_naive(n: int, m: int, q: Fraction) -> Fraction:
     """Term-by-term Fraction accumulation, no shared-denominator shortcut."""
     return sum(pdf(k, n, q) ** m for k in range(n + 1))
+
+
+def power_sum_streamed(n: int, m: int, q: Fraction) -> Fraction:
+    """The m-th powers of the integer mass numerators, streamed term by term
+    over the common denominator b^(n*m): the power sum without binary
+    splitting."""
+    a, b = q.numerator, q.denominator
+    x, total = (b - a) ** n, 0
+    for k in range(n + 1):
+        total += x ** m
+        x = x * (n - k) * a // ((k + 1) * (b - a))
+    return Fraction(total, b ** (n * m))
 
 
 # Exact unions computed with union_prob_by_det ahead of the build; the

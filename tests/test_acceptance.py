@@ -60,11 +60,11 @@ def test_criterion_4_divisor_formula_cross_agreement():
                 continue
             (p,) = fac
             if (oracles.box_probability(d, n, HALF)
-                    != binomstats.power_sum_exact(n // d, p, HALF) ** (d // p)):
+                    != singexact.prob_divisor_general(d, n, HALF)):
                 box_ok = False
-    criterion(4, "divisor engine and box enumeration equal prime-power "
-                 "closed forms (d <= 16, n <= 32); engine equals row-by-row "
-                 "event weights (n <= 10); divisor-6 event count is 10/64",
+    criterion(4, "divisor engine equals box enumeration at prime powers "
+                 "(d <= 16, n <= 32) and row-by-row event weights (n <= 10); "
+                 "divisor-6 event count is 10/64",
               ok and box_ok)
 
 
@@ -88,7 +88,7 @@ def test_criterion_7_main_theorem_trend():
     ratios = []
     for n in (4, 6, 8, 10, 12, 14, 16, 20, 22):
         p = polycyc.smallest_prime(n)
-        main = binomstats.power_sum_exact(n // p, p, HALF)
+        main = oracles.power_sum_naive(n // p, p, HALF)
         union = singexact.prob_union_bruteforce(n, HALF)
         divisor_sum = sum(singexact.divisor_probability(d, n, HALF).value
                           for d in polycyc.divisors(n) if d >= 2)
@@ -99,7 +99,9 @@ def test_criterion_7_main_theorem_trend():
     # n = 2p: the excess union/main - 1 is 2^(-p) / P(Phi_2 | f) at q = 1/2.
     excesses = []
     for p in (p for p in range(3, 48) if polycyc.is_prime(p)):
-        main = binomstats.power_sum_exact(p, 2, HALF)
+        main = oracles.power_sum_naive(p, 2, HALF)
+        if main != singexact.divisor_probability(2, 2 * p, HALF).value:
+            sandwich_ok = False
         excesses.append(singexact.prob_union_closed_form(2 * p, HALF) / main - 1)
     excess_ok = (all(a > b for a, b in zip(excesses, excesses[1:]))
                  and excesses[-1] < Fraction(1, 10 ** 12))

@@ -234,6 +234,35 @@ class TestTableCommand:
             cli.parse_n_range("8:4")
 
 
+class TestDecimalView:
+    @pytest.mark.parametrize("n, q, want", [
+        (1103, "1/2", "1.84053795725572e-332"),  # float(x) is 0.0
+        (1777, "1/3", "1.21851998946768e-313"),  # float(x) is subnormal
+    ])
+    def test_json_and_csv_round_the_fraction(self, capsys, n, q, want):
+        code, out, _ = run_capture(
+            capsys, ["divisor", "--n", str(n), "--d", str(n), "--q", q])
+        assert code == 0
+        in_json = json.loads(out)["value"]["decimal"]
+        code, out, _ = run_capture(
+            capsys, ["table", "--n-range", f"{n}:{n}", "--q", q])
+        assert code == 0
+        assert in_json == out.splitlines()[1].split(",")[3] == want
+
+    @pytest.mark.parametrize("x", [
+        HALF ** 1102, Fraction(1 + 2 ** 1777, 3 ** 1777), HALF ** 1075,
+        Fraction(7, 3) * HALF ** 1030, Fraction(2, 3) ** 190_000])
+    def test_tiny_values_within_half_unit(self, x):
+        view = cli.decimal_view(x)
+        mantissa, exponent = view.split("e")
+        assert 1 <= float(mantissa) < 10 and len(mantissa) <= 16
+        assert abs(Fraction(view) - x) <= Fraction(10) ** (int(exponent) - 14) / 2
+
+    def test_normal_floats_keep_the_float_view(self):
+        for x in (Fraction(1, 3), HALF ** 1022, Fraction(10 ** 20, 7), Fraction(0)):
+            assert cli.decimal_view(x) == f"{float(x):.15g}"
+
+
 class TestMcCommand:
     def test_reproducible_runs(self, capsys):
         argv = ["mc", "--n", "4", "--q", "1/2", "--samples", "20000",
