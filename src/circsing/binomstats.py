@@ -3,6 +3,7 @@ the distribution maximum, and power sums with their large-n approximations.
 """
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Iterator
 from fractions import Fraction
@@ -98,6 +99,15 @@ def power_sum_exact(n: int, m: int, q: Fraction) -> Fraction:
     if n < 0:
         raise ValueError("n must be nonnegative")
     check_exponent(n * m, q, f"power sum needs {n * m} term-power operations")
+    return _power_sum(n, m, q)
+
+
+# A report reads each prime-power value twice, in the closed-form union and
+# per divisor, and a table row reads P(Phi_p | f) for its approximation, its
+# union and its underflow ratio: each is one evaluation.
+@functools.lru_cache(maxsize=32)
+def _power_sum(n: int, m: int, q: Fraction) -> Fraction:
+    """``power_sum_exact`` past its checks."""
     if n == 0:
         return Fraction(1)
     a, b = q.numerator, q.denominator

@@ -102,7 +102,7 @@ def factorize(n: int) -> dict[int, int]:
 
 
 def is_prime(n: int) -> bool:
-    return n >= 2 and factorize(n) == {n: 1}
+    return n >= 2 and smallest_prime(n) == n
 
 
 def divisors(n: int) -> list[int]:
@@ -121,10 +121,16 @@ def totient(n: int) -> int:
 
 
 def smallest_prime(n: int) -> int:
-    """Smallest prime divisor of n >= 2."""
+    """Smallest prime divisor of n >= 2, by trial division up to it: the
+    cost is that of n's least prime factor, not of its largest."""
     if n < 2:
         raise ValueError("n must be at least 2")
-    return min(factorize(n))
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            return p
+        p += 1 if p == 2 else 2
+    return n
 
 
 @dataclasses.dataclass(frozen=True)

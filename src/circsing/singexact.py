@@ -107,7 +107,7 @@ class ProbabilityReport:
     exact_union: Fraction | None
     per_divisor: tuple[DivisorProbability, ...]
     bounds: dict[int, tuple[Fraction | None, Fraction]]
-    provenance: str  # closed-form | brute-force | trivial-n1 | absent-over-budget
+    provenance: str  # closed-form | brute-force | absent-over-budget
     omitted: tuple[tuple[int, str], ...] = ()
 
 
@@ -217,10 +217,8 @@ def prob_union_closed_form(n: int, q: Fraction) -> Fraction | None:
     q^n + (1-q)^n, for k such d.  Refuses exponent n by
     ``binomstats.check_exponent``.
     """
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    binomstats._check_exact_q(q)
     fac = polycyc.factorize(n)
+    binomstats._check_exact_q(q)
     if sorted(fac.values()) not in ([1], [2], [1, 1]):
         return None
     binomstats.check_exponent(n, q, f"closed-form union for n={n} needs exponent {n}")
@@ -343,6 +341,7 @@ def _singular_weight_counts(n: int, model: str = "binary") -> tuple[int, ...]:
     ``FLOAT32_EXACT``, so the sum is exact; its column 0 is the weight.
     """
     if n == 1:
+        # the pairing would count J = [1] with the zero row; J is not singular
         return (1, 0) if model == "binary" else (0, 0)
     low = min(n - 1, (BATCH_BYTES // (4 * n)).bit_length() - 1)
     cols, _ = _columns(n)
@@ -412,18 +411,13 @@ def divisor_probability(d: int, n: int, q: Fraction, model: str = "binary",
 
 def exact_union(n: int, q: Fraction, model: str = "binary",
                 budget: int = BRUTEFORCE_BUDGET) -> tuple[Fraction | None, str]:
-    """Exact union over all divisors with its provenance: a trivial or closed
-    form, else the exhaustive enumeration if its 2^(n-1) rows are within
-    ``budget``, else None with ``absent-over-budget``."""
+    """Exact union over all divisors with its provenance: the closed form,
+    else the exhaustive enumeration's weight counts if its 2^(n-1) rows are
+    within ``budget``, else None with ``absent-over-budget``."""
     _check_model(model)
     if n < 1:
         raise ValueError("n must be positive")
     binomstats._check_exact_q(q)
-    if n == 1:
-        return ((1 - q) if model == "binary" else Fraction(0)), "trivial-n1"
-    if model == "signed" and n == 2:
-        # det [[a, b], [b, a]] = a^2 - b^2 vanishes for all signs a, b
-        return Fraction(1), "closed-form"
     if model == "binary" or n % 2:
         # odd n: no signed row has half weight, so the two unions agree
         value = prob_union_closed_form(n, q)

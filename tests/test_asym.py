@@ -65,6 +65,13 @@ class TestApproxClosed:
         with pytest.raises(ValueError):
             approx_closed(13, 0.5)
 
+    def test_large_cofactor_is_not_factored(self):
+        # p(n) = 2 decides both formulas; n/2 = 2^127 - 1 is prime
+        n = 2 * (2**127 - 1)
+        assert approx_closed(n, 0.5).value == pytest.approx(
+            2 / math.sqrt(2 * math.pi * n), rel=1e-12)
+        assert approx_main(n, 0.5).formula == "main-theorem-asymptotic"
+
     def test_monotone_decay(self):
         values = [approx_closed(n, 0.5).value for n in range(10, 200, 2)]
         assert all(a > b > 0 for a, b in zip(values, values[1:]))

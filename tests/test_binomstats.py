@@ -150,6 +150,7 @@ class TestPowerSumExact:
     def test_many_terms_take_quasi_linear_time(self):
         # on a shared 2-core box the streamed sum took 15.7 s at this w
         # and the binary splitting under 1 s
+        binomstats._power_sum.cache_clear()
         start = time.perf_counter()
         power_sum_exact(40_000, 2, THIRD)
         assert time.perf_counter() - start < 5
@@ -162,6 +163,17 @@ class TestPowerSumExact:
         monkeypatch.setattr(binomstats, "POWER_SUM_BUDGET", 1000)
         with pytest.raises(BudgetExceededError, match="budget 1000"):
             power_sum_exact(600, 2, HALF)
+
+    def test_cached_sum_still_checked(self, monkeypatch):
+        # a value cached under the default budget is refused under a smaller
+        # one, and bad arguments are refused before the cache is read
+        assert power_sum_exact(11, 1, HALF) == 1
+        monkeypatch.setattr(binomstats, "POWER_SUM_BUDGET", 10)
+        with pytest.raises(BudgetExceededError):
+            power_sum_exact(11, 1, HALF)
+        for args in ((11, 0, HALF), (-1, 1, HALF), (1, 1, 0.5)):
+            with pytest.raises(ValueError):
+                power_sum_exact(*args)
 
     def test_budget_read_at_call_time(self, monkeypatch):
         monkeypatch.setattr(binomstats, "POWER_SUM_BUDGET", 10)

@@ -94,6 +94,18 @@ class TestNumberTheory:
         primes = {2, 3, 5, 7, 11, 13, 17, 19, 23}
         assert {n for n in range(25) if polycyc.is_prime(n)} == primes
 
+    def test_smallest_prime_matches_factorization(self):
+        for n in range(2, 600):
+            assert polycyc.smallest_prime(n) == min(polycyc.factorize(n)), n
+            assert polycyc.is_prime(n) == (polycyc.factorize(n) == {n: 1}), n
+
+    def test_smallest_prime_stops_at_first_factor(self):
+        # the cofactor 2^127 - 1 is prime: trial division to its root
+        # would not end
+        n = 2 * (2**127 - 1)
+        assert polycyc.smallest_prime(n) == 2
+        assert not polycyc.is_prime(n)
+
 
 class TestFold:
     def test_examples(self):

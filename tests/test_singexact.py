@@ -406,10 +406,11 @@ class TestClosedForm:
         assert prob_union_closed_form(6, HALF) == Fraction(7, 16)
 
     def test_unsupported_shapes(self):
-        for n in (8, 12, 16, 30, 36):
+        # n = 1 has no prime-power event: its union is the weight counts'
+        for n in (1, 8, 12, 16, 30, 36):
             assert prob_union_closed_form(n, HALF) is None
-        with pytest.raises(ValueError):
-            prob_union_closed_form(1, HALF)
+        with pytest.raises(ValueError, match="n must be positive"):
+            prob_union_closed_form(0, HALF)
 
     def test_exponent_budget(self, monkeypatch):
         monkeypatch.setattr(binomstats, "POWER_SUM_BUDGET", 10)
@@ -822,7 +823,7 @@ class TestReport:
 
     def test_example_n1(self):
         assert report(1, THIRD).exact_union == Fraction(2, 3)
-        assert report(1, THIRD).provenance == "trivial-n1"
+        assert report(1, THIRD).provenance == "brute-force"
         assert report(1, THIRD, "signed").exact_union == 0
 
     def test_example_n12_uses_bruteforce(self):
@@ -832,9 +833,9 @@ class TestReport:
 
     def test_exact_union_edges(self):
         for q in (HALF, THIRD):
-            assert exact_union(1, q, "signed") == (0, "trivial-n1")
+            assert exact_union(1, q, "signed") == (0, "brute-force")
             assert prob_union_bruteforce(1, q, "signed") == 0
-            assert exact_union(2, q, "signed") == (1, "closed-form")
+            assert exact_union(2, q, "signed") == (1, "brute-force")
             assert prob_union_bruteforce(2, q, "signed") == 1
         with pytest.raises(ValueError):
             exact_union(4, HALF, "ternary")
@@ -842,6 +843,35 @@ class TestReport:
             exact_union(0, HALF)
         with pytest.raises(ValueError):
             exact_union(4, 0.5)
+
+    @pytest.mark.parametrize("model", ["binary", "signed"])
+    @pytest.mark.parametrize("q", [HALF, THIRD])
+    def test_smallest_n_come_from_the_ladder(self, model, q):
+        # n = 1 and signed n = 2 have no rung of their own: the weight
+        # counts give them, within the row budget like every other n
+        for n in (1, 2):
+            want = oracles.union_prob_by_det(n, q, signed=(model == "signed"))
+            assert exact_union(n, q, model)[0] == want, (n, model, q)
+        assert exact_union(1, q, model)[1] == "brute-force"
+        assert exact_union(1, q, model, 0) == (None, "absent-over-budget")
+        if model == "signed":
+            assert exact_union(2, q, model) == (1, "brute-force")
+            assert exact_union(2, q, model, 1) == (None, "absent-over-budget")
+        else:
+            assert exact_union(2, q, model, 0)[1] == "closed-form"
+
+    def test_closed_form_report_sums_each_power_sum_once(self):
+        # n = 2p: the union and the per-divisor loop both read the d = 2
+        # and d = p power sums, (w, m) = (p, 2) and (2, p)
+        power_sum = binomstats._power_sum
+        power_sum.cache_clear()
+        try:
+            rep = report(2 * 101, THIRD)
+            info = power_sum.cache_info()
+        finally:
+            power_sum.cache_clear()
+        assert rep.provenance == "closed-form"
+        assert (info.misses, info.hits) == (2, 2)
 
     def test_table_skips_per_divisor_values(self, monkeypatch):
         calls = []
