@@ -121,8 +121,8 @@ def convergence_table(q, n_list, model: str = "binary",
 
     Exact values come from the union ladder ``singexact.exact_union`` and
     are absent when no exact strategy fits (the exhaustive union is capped
-    at ``budget`` rows, every value by the exponent budget) or when q is not
-    rational; the ratio column is
+    at ``budget`` half-row scans, every value by the exponent budget) or
+    when q is not rational; the ratio column is
     exact/approx as a float, absent when either is absent.  When the
     dominant-divisor sum underflows to 0.0, the ratio divides by that sum
     as an exact Fraction instead.

@@ -7,9 +7,9 @@ resource error.
 
 Each exact budget is an option only on the commands that spend it:
 --enum-budget (candidates the CRT convolution visits per divisor) on exact
-and divisor, --brute-budget (rows the exhaustive union enumerates, 2^(n-1))
-on exact and table.  The Monte-Carlo sample cap is the environment variable
-CIRCSING_SAMPLES_CAP.
+and divisor, --brute-budget (half-row scans of the exhaustive union's join,
+2^tau(n) * 2^ceil(n/2)) on exact and table.  The Monte-Carlo sample cap is
+the environment variable CIRCSING_SAMPLES_CAP.
 """
 from __future__ import annotations
 
@@ -234,8 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
         if brute_budget:
             p.add_argument("--brute-budget", type=int,
                            default=singexact.BRUTEFORCE_BUDGET,
-                           help="max rows the exhaustive union enumerates "
-                                "(2^(n-1) at dimension n)")
+                           help="max half-row scans of the exhaustive union "
+                                "(2^tau(n) * 2^ceil(n/2) at dimension n)")
 
     p = sub.add_parser("exact", help="exact probability report for one n")
     p.add_argument("--n", type=int, required=True)

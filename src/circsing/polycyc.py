@@ -120,11 +120,44 @@ def totient(n: int) -> int:
     return t
 
 
+#: The first 13 primes: as Miller-Rabin bases they decide primality of
+#: every n below ``_MR_EXACT`` (Sorenson and Webster 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT = 3317044064679887385961981
+_MR_PRIMORIAL = math.prod(_MR_BASES)
+
+
+def _probably_prime(n: int) -> bool:
+    """Miller-Rabin with the bases ``_MR_BASES``: never False for a prime,
+    and exact below ``_MR_EXACT``."""
+    if n < 2 or math.gcd(n, _MR_PRIMORIAL) != 1:
+        return n in _MR_BASES
+    if n < _MR_BASES[-1] ** 2:  # no prime factor up to its square root
+        return True
+    odd, twos = n - 1, 0
+    while odd % 2 == 0:
+        odd, twos = odd // 2, twos + 1
+    for a in _MR_BASES:
+        x = pow(a, odd, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(twos - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def smallest_prime(n: int) -> int:
-    """Smallest prime divisor of n >= 2, by trial division up to it: the
-    cost is that of n's least prime factor, not of its largest."""
+    """Smallest prime divisor of n >= 2: n itself when n < ``_MR_EXACT``
+    and Miller-Rabin says n is prime, else by trial division up to it, so
+    the cost is that of n's least prime factor, not of its largest."""
     if n < 2:
         raise ValueError("n must be at least 2")
+    if n < _MR_EXACT and _probably_prime(n):
+        return n
     p = 2
     while p * p <= n:
         if n % p == 0:

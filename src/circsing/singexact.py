@@ -6,12 +6,13 @@ CRT image sum over the exact convolution of the image law, each image the
 sub-row's lag differences packed into one int.
 Unions over all divisors use one inclusion-exclusion over the prime-power
 divisor events for n in {prime, prime^2, prime*prime'}, and an exhaustive
-weighted enumeration of the 2^n rows, half of them by complement symmetry,
-as the independent fallback and oracle.  Its rows, like Monte-Carlo rows,
-are decided by one exact float32 product with mixed-radix columns that
-tests every divisor at once by lag differences of the row's fold
-(``_columns``).  Both key divisibility by ``_lags``, so no compute path
-builds a lattice basis or a cyclotomic polynomial.
+weighted count of the 2^n rows, by a meet-in-the-middle join of their two
+halves, as the independent fallback and oracle.  Monte-Carlo rows are
+decided by one exact float32 product with mixed-radix columns that test
+every divisor at once by lag differences of the row's fold (``_columns``);
+the exhaustive union joins the same columns' sums over the two halves of a
+row.  Both key divisibility by ``_lags``, so no compute path builds a
+lattice basis or a cyclotomic polynomial.
 Every value is an exact Fraction.
 """
 from __future__ import annotations
@@ -32,15 +33,14 @@ log = logging.getLogger(__name__)
 
 #: Default cap on (image, k) candidates the CRT convolution visits per divisor.
 ENUMERATION_BUDGET = 10_000_000
-#: Default cap on rows the exhaustive union enumerates: 2^(n-1) for dimension n.
-BRUTEFORCE_BUDGET = 1 << 26
+#: Default cap on the half-row scans of the exhaustive union:
+#: 2^tau(n) * 2^ceil(n/2) at dimension n (``_join_scans``).
+BRUTEFORCE_BUDGET = 1 << 23
 
-#: Byte bound on one batch of rows: it caps the raw Philox bytes of an MC
-#: slice, and a union chunk's float32 product with the ``_columns`` matrix
-#: at 4n bytes a row (there are at most n columns), which bounds memory for
-#: every n.  4 MiB, not 16: after a 16 MiB batch is freed, glibc's dynamic
-#: mmap threshold rises past it, later batches come from the heap, and the
-#: heap keeps them, which added a batch to peak RSS in some memory layouts.
+#: Byte bound on the raw Philox bytes of one Monte-Carlo slice.  4 MiB, not
+#: 16: after a 16 MiB batch is freed, glibc's dynamic mmap threshold rises
+#: past it, later batches come from the heap, and the heap keeps them, which
+#: added a batch to peak RSS in some memory layouts.
 BATCH_BYTES = 1 << 22
 
 #: Byte bound on the ``_columns`` matrix, 4n bytes a column: it is built
@@ -324,51 +324,130 @@ def singular_mask(bits: np.ndarray, model: str = "binary") -> np.ndarray:
     return _hits(bits.astype(np.float32) @ _columns(n)[0], n, model).any(axis=0)
 
 
+def _subset_sums(rows: np.ndarray) -> np.ndarray:
+    """All 2^k sums of subsets of the k ``rows``, as exact int64, by
+    doubling: sum i adds the rows whose bits are set in i."""
+    out = np.zeros((1 << len(rows), rows.shape[1]), dtype=np.int64)
+    for j, row in enumerate(rows):
+        np.add(out[:1 << j], row, out=out[1 << j:2 << j])
+    return out
+
+
+def _dense(keys: np.ndarray) -> np.ndarray:
+    """The rank of each key among the distinct keys."""
+    return np.unique(keys, return_inverse=True)[1]
+
+
+def _matched(lo: np.ndarray, hi: np.ndarray, bound: int):
+    """Join keys in [0, bound) of the two halves' rows: the dense ids of the
+    keys found on both sides, per kept row, the masks of the kept rows on
+    each side, and the number of ids.  Keys are ranked by a table of
+    ``bound`` flags, or by sorting when ``bound`` passes four times the
+    rows."""
+    if bound > 4 * (len(lo) + len(hi)):
+        ids = _dense(np.concatenate((lo, hi)))
+        lo, hi, bound = ids[:len(lo)], ids[len(lo):], len(ids)
+    on = np.zeros((2, bound), dtype=bool)
+    on[0, lo] = on[1, hi] = True
+    both = on[0] & on[1]
+    rank = np.cumsum(both) - 1
+    keep_lo, keep_hi = both[lo], both[hi]
+    return (rank[lo[keep_lo]], rank[hi[keep_hi]], keep_lo, keep_hi,
+            int(np.count_nonzero(both)))
+
+
+def _by_weight(ids: np.ndarray, weight: np.ndarray, classes: int,
+               width: int) -> np.ndarray:
+    """Rows per (class, weight), as a float64 (classes, width) table."""
+    return np.bincount(ids * width + weight, np.ones(len(ids)),
+                       classes * width).reshape(classes, width)
+
+
 @functools.lru_cache(maxsize=64)
 def _singular_weight_counts(n: int, model: str = "binary") -> tuple[int, ...]:
-    """Count singular rows among all 2^n, grouped by number of one bits.
+    """Count singular rows among all 2^n, grouped by number of one bits, by
+    a meet-in-the-middle join (Horowitz and Sahni 1974).
 
-    Only the 2^(n-1) rows b with b[n-1] = 0 are tested, for n >= 2: b and
-    its complement J - b, of weight n - w for b's w, share every d >= 2
-    event (Phi_d divides J) and the d = 1 event (b = 0 and J are both
-    singular; weight n/2 maps to itself), so the counts c add c + c[::-1].
+    Each ``_columns`` column is a linear integer function of the row, so a
+    row with low half x (bits below L = floor(n/2)) and high half y has
+    column value col(x) + col(y), and Phi_d divides it iff col(x) = -col(y)
+    in every column of d.  The 2^L sums over x and the 2^(n-L) over y are
+    built by doubling (``_subset_sums``); column 0 is the weight.  Each
+    d >= 2 gets a dense id of its column values over x and -y, so equal
+    ids on the two sides are exactly the rows in its event.
 
-    The rows go in chunks of 2^low, the most whose ``_columns`` product
-    fits ``BATCH_BYTES`` at 4n bytes a row.  The chunks share their low
-    bits, so the low columns' product is computed once, and each chunk adds
-    its high columns' product, one vector, to it.  Every partial sum is at
-    most the column's absolute sum, which ``_columns`` keeps below
-    ``FLOAT32_EXACT``, so the sum is exact; its column 0 is the weight.
+    The union of the d >= 2 events is a signed inclusion-exclusion over
+    the sets S of them, walked depth first: each set refines its parent's
+    classes by one divisor's ids, drops the classes found on one side only
+    (no superset of S can match there), and counts its rows by weight as
+    the anti-diagonal sums of Cl.T @ Ch, Cl and Ch the (class, weight)
+    tables of the two sides.  Every entry is at most 2^n, so float64 is
+    exact for n <= 53, where the packed keys, below (2^(n-L+1))^2, fit
+    int64; past that the counts are refused.  The d = 1 event is the zero
+    row (binary) or every row of weight n/2 (signed).
     """
-    if n == 1:
-        # the pairing would count J = [1] with the zero row; J is not singular
-        return (1, 0) if model == "binary" else (0, 0)
-    low = min(n - 1, (BATCH_BYTES // (4 * n)).bit_length() - 1)
-    cols, _ = _columns(n)
-    idx = np.arange(1 << low, dtype=np.int32)
-    low_bits = (idx[:, None] >> np.arange(low, dtype=np.int32)) & 1
-    low_proj = low_bits.astype(np.float32) @ cols[:low]
-    counts = np.zeros(n + 1, dtype=np.int64)
-    for high in range(1 << (n - 1 - low)):
-        high_bits = (high >> np.arange(n - 1 - low)) & 1
-        prod = low_proj + high_bits.astype(np.float32) @ cols[low:n - 1]
-        singular = _hits(prod, n, model).any(axis=0)
-        c = np.bincount(prod[:, 0][singular].astype(np.int64), minlength=n + 1)
-        counts += c + c[::-1]
-    return tuple(int(c) for c in counts)
+    if n > 53:
+        raise BudgetExceededError(
+            f"exhaustive union counts for n={n} reach 2^{n}, past float64's "
+            f"exact integers (n <= 53)", required=n, budget=53)
+    cols, group = _columns(n)
+    cols, low = cols.astype(np.int64), n // 2
+    lo, hi = _subset_sums(cols[:low]), _subset_sums(cols[low:])
+    events = []
+    for own in group[:, 1:].T:
+        ids = np.zeros(len(lo) + len(hi), dtype=np.int64)
+        for c in np.flatnonzero(own):
+            # col takes fewer than span values, so (id, col) -> id * span + col
+            # is one to one
+            col = np.concatenate((lo[:, c], -hi[:, c]))
+            ids = _dense(ids * (int(col.max()) - int(col.min()) + 1) + col)
+        events.append((ids[:len(lo)], ids[len(lo):], int(ids.max()) + 1))
+    # the weight of each (low weight, high weight) entry of a term's table
+    weight = (np.arange(low + 1)[:, None] + np.arange(n - low + 1)).ravel()
+    counts = [0] * (n + 1)
+
+    def join(first, sign, lo_rows, hi_rows, lo_cls, hi_cls, classes):
+        for k in range(first, len(events)):
+            lo_ids, hi_ids, size = events[k]
+            lo_new, hi_new, keep_lo, keep_hi, new = _matched(
+                lo_cls * size + lo_ids[lo_rows], hi_cls * size + hi_ids[hi_rows],
+                classes * size)
+            rows = lo_rows[keep_lo], hi_rows[keep_hi]
+            table = (_by_weight(lo_new, lo[rows[0], 0], new, low + 1).T
+                     @ _by_weight(hi_new, hi[rows[1], 0], new, n - low + 1))
+            for w, c in enumerate(np.bincount(weight, table.ravel(), n + 1).tolist()):
+                counts[w] += sign * int(c)
+            join(k + 1, -sign, *rows, lo_new, hi_new, new)
+
+    join(0, 1, np.arange(len(lo)), np.arange(len(hi)),
+         np.zeros(len(lo), dtype=np.int64), np.zeros(len(hi), dtype=np.int64), 1)
+    if model == "binary":  # the d = 1 event
+        counts[0] = 1
+    elif n % 2 == 0:
+        counts[n // 2] = math.comb(n, n // 2)
+    return tuple(counts)
 
 
-def _rows_fit(n: int, budget: int) -> bool:
-    """Whether the 2^(n-1) rows the exhaustive union tests are within
-    ``budget``, decided without forming 2^(n-1)."""
-    return budget > 0 and n <= budget.bit_length()
+def _join_scans(n: int) -> int:
+    """The k of the 2^k half-row scans the exhaustive union spends at most:
+    2^tau(n) sets of divisor events, each scanning at most the 2^ceil(n/2)
+    rows of a half.  Pruning only lowers it."""
+    return math.prod(k + 1 for k in polycyc.factorize(n).values()) + (n + 1) // 2
+
+
+def _join_fits(n: int, budget: int) -> bool:
+    """Whether the join's 2^``_join_scans(n)`` half-row scans are within
+    ``budget``, decided by bit lengths without forming the power.  An n
+    whose half alone is past ``budget`` is refused before it factorizes."""
+    bits = budget.bit_length()
+    return budget > 0 and (n + 1) // 2 < bits and _join_scans(n) < bits
 
 
 def prob_union_bruteforce(n: int, q: Fraction, model: str = "binary",
                           budget: int = BRUTEFORCE_BUDGET) -> Fraction:
-    """Exact union probability by enumerating the 2^n rows, of which the
-    2^(n-1) with top bit 0 are tested (``_singular_weight_counts``) and
-    counted against ``budget``.
+    """Exact union probability from the singular rows of all 2^n, counted
+    by weight (``_singular_weight_counts``), whose 2^``_join_scans(n)``
+    half-row scans are counted against ``budget``.
 
     Each row is weighted q^w (1-q)^(n-w) where w counts the one bits of
     the underlying Bernoulli vector, in both models.
@@ -377,10 +456,11 @@ def prob_union_bruteforce(n: int, q: Fraction, model: str = "binary",
     if n < 1:
         raise ValueError("n must be positive")
     binomstats.check_exponent(n, q, f"brute force for n={n} needs exponent {n}")
-    if not _rows_fit(n, budget):
+    if not _join_fits(n, budget):
+        scans = _join_scans(n)
         raise BudgetExceededError(
-            f"brute force for n={n} needs 2^{n - 1} rows (budget {budget})",
-            required=1 << (n - 1), budget=budget)
+            f"brute force for n={n} needs 2^{scans} half-row scans "
+            f"(budget {budget})", required=1 << scans, budget=budget)
     counts, a, b = _singular_weight_counts(n, model), q.numerator, q.denominator
     return Fraction(sum(c * a ** w * (b - a) ** (n - w)
                         for w, c in enumerate(counts) if c), b ** n)
@@ -412,8 +492,8 @@ def divisor_probability(d: int, n: int, q: Fraction, model: str = "binary",
 def exact_union(n: int, q: Fraction, model: str = "binary",
                 budget: int = BRUTEFORCE_BUDGET) -> tuple[Fraction | None, str]:
     """Exact union over all divisors with its provenance: the closed form,
-    else the exhaustive enumeration's weight counts if its 2^(n-1) rows are
-    within ``budget``, else None with ``absent-over-budget``."""
+    else the exhaustive weight counts if their half-row scans are within
+    ``budget`` (``_join_fits``), else None with ``absent-over-budget``."""
     _check_model(model)
     if n < 1:
         raise ValueError("n must be positive")
@@ -423,7 +503,7 @@ def exact_union(n: int, q: Fraction, model: str = "binary",
         value = prob_union_closed_form(n, q)
         if value is not None:
             return value, "closed-form"
-    if _rows_fit(n, budget):
+    if _join_fits(n, budget):
         return prob_union_bruteforce(n, q, model, budget), "brute-force"
     return None, "absent-over-budget"
 

@@ -12,7 +12,7 @@ output past the int-to-str digit limit, the float form of the 53-bit
 threshold test checks the Monte-Carlo row generator, the fold-down mask,
 which folds every row to every divisor in float64, checks the packed
 columns of the mask, the full enumeration of all 2^n rows checks the
-union's half enumeration, and the streamed sum of the mass numerators'
+union's half-row join, and the streamed sum of the mass numerators'
 powers checks the power sum's binary splitting.  Two closed forms that the
 library does not need are kept here for the acceptance suite: the signed
 d = 1 and d = 2 intersection, and the de Moivre-Laplace approximation of
@@ -334,7 +334,7 @@ def fold_down_mask(bits: np.ndarray, signed: bool = False) -> np.ndarray:
 def full_weight_counts(n: int, model: str = "binary") -> tuple[int, ...]:
     """Singular rows among all 2^n, grouped by weight: every row goes
     through ``singular_mask``, in chunks of at most 2^16 rows, with no
-    complement symmetry and no shared projection."""
+    half-row join and no inclusion-exclusion."""
     counts = np.zeros(n + 1, dtype=np.int64)
     for start in range(0, 1 << n, 1 << 16):
         idx = np.arange(start, min(start + (1 << 16), 1 << n), dtype=np.int64)
@@ -386,3 +386,26 @@ UNION_SIGNED_HALF = {
     6: Fraction(5, 8), 8: Fraction(1, 2),
 }
 UNION_BINARY_THIRD = {4: Fraction(41, 81), 6: Fraction(103, 243)}
+
+# Singular rows of dimension n by weight (w = 0, ..., n), computed twice:
+# by the half-row join and by the scan of 2^(n-1) rows that it replaced.
+WEIGHT_COUNTS = {
+    (28, "binary"): (
+        1, 0, 294, 0, 9163, 0, 178164, 16384, 1124501, 1820, 5209386, 5460,
+        10141775, 9100, 15361688, 9100, 10141775, 5460, 5209386, 1820,
+        1124501, 16384, 178164, 0, 9163, 0, 294, 0, 1),
+    (28, "signed"): (
+        1, 0, 294, 0, 9163, 0, 178164, 16384, 1124501, 1820, 5209386, 5460,
+        10141775, 9100, 40116600, 9100, 10141775, 5460, 5209386, 1820,
+        1124501, 16384, 178164, 0, 9163, 0, 294, 0, 1),
+    (30, "binary"): (
+        1, 0, 225, 1000, 11025, 14916, 267555, 97350, 1894185, 2077020,
+        9741585, 2131770, 32032875, 4452870, 42386235, 22343280, 42386235,
+        4452870, 32032875, 2131770, 9741585, 2077020, 1894185, 97350, 267555,
+        14916, 11025, 1000, 225, 0, 1),
+    (30, "signed"): (
+        1, 0, 225, 1000, 11025, 14916, 267555, 97350, 1894185, 2077020,
+        9741585, 2131770, 32032875, 4452870, 42386235, 155117520, 42386235,
+        4452870, 32032875, 2131770, 9741585, 2077020, 1894185, 97350, 267555,
+        14916, 11025, 1000, 225, 0, 1),
+}

@@ -353,12 +353,27 @@ class TestBudgetsAndErrors:
         assert "exponent" in err
 
     def test_table_brute_budget(self, capsys):
-        # n = 12 has no closed form; 2^12 rows exceed a budget of 10
+        # n = 12 has no closed form; its union spends 2^tau(12) * 2^6 = 2^12
+        # half-row scans
         argv = ["table", "--n-range", "12:12", "--q", "1/2"]
         code, out, _ = run_capture(capsys, argv)
         assert code == 0 and out.splitlines()[1].split(",")[1] == "47"
-        code, out, _ = run_capture(capsys, argv + ["--brute-budget", "10"])
+        code, out, _ = run_capture(capsys, argv + ["--brute-budget", "4096"])
+        assert code == 0 and out.splitlines()[1].split(",")[1] == "47"
+        code, out, _ = run_capture(capsys, argv + ["--brute-budget", "4095"])
         assert code == 0 and out.splitlines()[1].split(",")[1] == ""
+
+    def test_union_frontier_at_default_budget(self, capsys):
+        # 2^tau(n) * 2^ceil(n/2) half-row scans: 2^20, 2^23 and 2^22 fit
+        # the default 2^23; n = 36 and 40 (2^27, 2^28) are left absent
+        code, out, _ = run_capture(
+            capsys, ["table", "--n-range", "28:40:2", "--q", "1/2"])
+        assert code == 0
+        rows = {r.n: r.exact for r in table_from_csv(out)}
+        assert [n for n, exact in rows.items() if exact is None] == [36, 40]
+        for n in (28, 30):
+            counts = oracles.WEIGHT_COUNTS[n, "binary"]
+            assert rows[n] == Fraction(sum(counts), 1 << n)
 
     @pytest.mark.parametrize("argv", [
         ["divisor", "--n", "6", "--d", "3", "--q", "1/2", "--brute-budget", "10"],

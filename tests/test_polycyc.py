@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 from itertools import product, zip_longest
 
@@ -98,6 +99,39 @@ class TestNumberTheory:
         for n in range(2, 600):
             assert polycyc.smallest_prime(n) == min(polycyc.factorize(n)), n
             assert polycyc.is_prime(n) == (polycyc.factorize(n) == {n: 1}), n
+
+    def test_miller_rabin_matches_factorization(self):
+        # past 41^2 = 1681 the composites prime to the bases begin (1849)
+        assert not polycyc._probably_prime(0) and not polycyc._probably_prime(1)
+        for n in range(2, 5000):
+            assert polycyc._probably_prime(n) == (polycyc.factorize(n) == {n: 1}), n
+
+    @pytest.mark.parametrize("n, factor", [
+        # strong pseudoprimes to the bases 2; 2, 3; 2, 3, 5, 7; and the
+        # first 9 primes, each a composite one base short of the test
+        (2047, 23), (1373653, 829), (3215031751, 151),
+        (3825123056546413051, 149491),
+        # Carmichael numbers, which fool the Fermat test to every base
+        (561, 3), (41041, 7),
+    ])
+    def test_miller_rabin_rejects_pseudoprimes(self, n, factor):
+        assert not polycyc._probably_prime(n)
+        assert not polycyc.is_prime(n)
+        assert polycyc.smallest_prime(n) == factor
+
+    @pytest.mark.parametrize("n", [10**16 + 61, 2**61 - 1])
+    def test_large_prime_skips_trial_division(self, n):
+        # trial division to the square root took 8.6 s at 10^16 + 61
+        start = time.perf_counter()
+        assert polycyc.smallest_prime(n) == n and polycyc.is_prime(n)
+        assert time.perf_counter() - start < 0.5
+
+    def test_miller_rabin_past_its_exact_bound(self):
+        # above the bound a prime still passes, and smallest_prime falls
+        # back to trial division, which stops at the first factor
+        assert 2**127 - 1 > polycyc._MR_EXACT
+        assert polycyc._probably_prime(2**127 - 1)
+        assert not polycyc._probably_prime(2 * (2**127 - 1))
 
     def test_smallest_prime_stops_at_first_factor(self):
         # the cofactor 2^127 - 1 is prime: trial division to its root

@@ -449,8 +449,13 @@ class TestBruteForce:
             assert prob_union_bruteforce(n, THIRD) == want
 
     def test_budget_error(self):
-        with pytest.raises(BudgetExceededError):
-            prob_union_bruteforce(30, HALF, budget=1 << 20)
+        # n = 30 spends 2^tau(30) * 2^15 = 2^23 half-row scans
+        with pytest.raises(BudgetExceededError) as err:
+            prob_union_bruteforce(30, HALF, budget=(1 << 23) - 1)
+        assert (err.value.required, err.value.budget) == (1 << 23, (1 << 23) - 1)
+        counts = oracles.WEIGHT_COUNTS[30, "binary"]
+        assert prob_union_bruteforce(30, HALF, budget=1 << 23) == \
+            Fraction(sum(counts), 1 << 30)
 
     def test_signed_matches_scalar_path(self):
         # the signed counts are derived from the binary enumeration; the
@@ -464,18 +469,6 @@ class TestBruteForce:
                 want = sum(c * q**w * (1 - q) ** (n - w)
                            for w, c in enumerate(hits))
                 assert prob_union_bruteforce(n, q, "signed") == want, (n, q)
-
-    def test_chunked_enumeration_matches(self, monkeypatch):
-        # a 192-byte batch holds 2^3 float32 rows at n = 6 and 2^2 at
-        # n = 7..12, so every n takes 2^(n-3) chunks or more
-        want = {n: singexact._singular_weight_counts(n) for n in range(6, 13)}
-        singexact._singular_weight_counts.cache_clear()
-        monkeypatch.setattr(singexact, "BATCH_BYTES", 192)
-        try:
-            got = {n: singexact._singular_weight_counts(n) for n in range(6, 13)}
-        finally:
-            singexact._singular_weight_counts.cache_clear()
-        assert got == want
 
 
 @pytest.fixture
@@ -497,38 +490,99 @@ def cold_counts():
 
 
 class TestHalfEnumeration:
-    """The union tests the 2^(n-1) rows with top bit 0 and mirrors them."""
+    """The union joins the column sums of the two halves of each row."""
 
     def test_matches_full_enumeration(self, cold_counts):
-        for n in range(1, 19):
+        for n in range(1, 21):
             assert singexact._singular_weight_counts(n) == \
                 oracles.full_weight_counts(n), n
 
     def test_signed_matches_full_enumeration(self, cold_counts):
-        # the signed d = 1 event, weight n/2, is its own complement's
-        for n in range(1, 19):
+        for n in range(1, 21):
             assert singexact._singular_weight_counts(n, "signed") == \
                 oracles.full_weight_counts(n, "signed"), n
 
     @pytest.mark.parametrize("bound", [13, 16, 64])
     def test_matches_full_enumeration_narrow_bound(self, cold_counts,
                                                    narrow_bound, bound):
-        # narrow bounds pack fewer coordinates into each column; every
-        # n <= 14 below the bound builds its columns
-        want = {n: oracles.full_weight_counts(n) for n in range(1, min(15, bound))}
+        # narrow bounds pack fewer coordinates into each column, so some
+        # divisor has several columns and its ids pack more than one value;
+        # every n <= 20 below the bound builds its columns
+        ns = range(1, min(21, bound))
+        want = {(n, model): oracles.full_weight_counts(n, model)
+                for n in ns for model in ("binary", "signed")}
         narrow_bound(bound)
-        for n, counts in want.items():
-            assert singexact._singular_weight_counts(n) == counts, n
+        assert max(singexact._columns(n)[1].sum(axis=0).max() for n in ns) > 1
+        for (n, model), counts in want.items():
+            assert singexact._singular_weight_counts(n, model) == counts, (n, model)
 
-    def test_matches_full_enumeration_many_chunks(self, cold_counts,
-                                                  monkeypatch):
-        # 192 bytes hold 2^3 rows of 4n bytes for n <= 6, 2^2 for n = 7..12
-        # and 2^1 beyond, so every n >= 5 takes 2^(n-4) chunks or more, all
-        # but the first with a nonzero high-bit projection
-        want = {n: oracles.full_weight_counts(n) for n in range(1, 15)}
-        monkeypatch.setattr(singexact, "BATCH_BYTES", 192)
-        for n, counts in want.items():
-            assert singexact._singular_weight_counts(n) == counts, n
+    @pytest.mark.parametrize("n", [28, 30])
+    @pytest.mark.parametrize("model", ["binary", "signed"])
+    def test_frozen_counts(self, n, model):
+        assert singexact._singular_weight_counts(n, model) == \
+            oracles.WEIGHT_COUNTS[n, model]
+
+    @pytest.mark.parametrize("n", [5, 7, 9])
+    def test_odd_n_halves_sum_to_every_row(self, n):
+        # odd n: the high half has one bit more than the low half; each
+        # row's column values are the low sum plus the high sum
+        cols = singexact._columns(n)[0].astype(np.int64)
+        lo = singexact._subset_sums(cols[:n // 2])
+        hi = singexact._subset_sums(cols[n // 2:])
+        assert (len(lo), len(hi)) == (1 << (n // 2), 1 << (n - n // 2))
+        rows = all_bit_rows(n).astype(np.int64)
+        idx = np.arange(1 << n)
+        low = idx & ((1 << (n // 2)) - 1)
+        assert np.array_equal(lo[low] + hi[idx >> (n // 2)], rows @ cols)
+        assert lo[:, 0].tolist() == [i.bit_count() for i in range(len(lo))]
+
+    @pytest.mark.parametrize("bound", [10, 1000])
+    def test_term_whose_classes_are_all_pruned(self, bound):
+        # keys found on one side only leave no class and no row; the
+        # narrow bound ranks by a table of flags, the wide one by sorting
+        lo, hi = np.array([0, 3, 3, 5]), np.array([1, 2, 4])
+        lo_ids, hi_ids, keep_lo, keep_hi, classes = \
+            singexact._matched(lo, hi, bound)
+        assert classes == 0 and len(lo_ids) == len(hi_ids) == 0
+        assert not keep_lo.any() and not keep_hi.any()
+        table = singexact._by_weight(lo_ids, lo[keep_lo], 0, 3).T @ \
+            singexact._by_weight(hi_ids, hi[keep_hi], 0, 4)
+        assert table.shape == (3, 4) and not table.any()
+        # one shared key: only its rows survive, as class 0
+        lo_ids, hi_ids, keep_lo, keep_hi, classes = \
+            singexact._matched(lo, np.array([1, 3, 4]), bound)
+        assert classes == 1
+        assert keep_lo.tolist() == [False, True, True, False]
+        assert keep_hi.tolist() == [False, True, False]
+        assert lo_ids.tolist() == [0, 0] and hi_ids.tolist() == [0]
+
+    def test_counts_past_float64_refused(self):
+        # n = 54 could pass a raised budget (2^35 scans), but its counts
+        # pass float64's exact integers: refused before any table is built
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceededError, match=r"n <= 53") as err:
+                prob_union_bruteforce(54, HALF, budget=1 << 35)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (err.value.required, err.value.budget) == (54, 53)
+        assert peak < 1 << 20
+
+    def test_signed_weight_half_term(self):
+        # every signed row of weight n/2 is singular (the d = 1 event); at
+        # every other weight the models share the d >= 2 events, the zero
+        # row (-J in the signed model) included, except at n = 1
+        for n in range(2, 21):
+            binary = singexact._singular_weight_counts(n)
+            signed = singexact._singular_weight_counts(n, "signed")
+            for w in range(n + 1):
+                if 2 * w == n:
+                    assert signed[w] == math.comb(n, w) >= binary[w], (n, w)
+                else:
+                    assert signed[w] == binary[w], (n, w)
+        assert singexact._singular_weight_counts(1, "signed") == (0, 0)
+        assert singexact._singular_weight_counts(1) == (1, 0)
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_complement_keeps_divisor_events(self, n):
@@ -538,7 +592,7 @@ class TestHalfEnumeration:
             assert events == set(singular_divisors(FirstRow(n, flipped))) - {1}
 
     def test_row_budget_never_forms_the_row_count(self):
-        # 2^(2^27 - 1) would take 16 MB
+        # 2^(tau(2^27) + 2^26) would take 8 MB
         tracemalloc.start()
         try:
             got = exact_union(1 << 27, HALF)
@@ -549,8 +603,10 @@ class TestHalfEnumeration:
         assert peak < 1 << 20
 
     def test_row_budget_refusal_past_the_digit_limit(self):
-        with pytest.raises(BudgetExceededError, match=r"2\^19999 rows"):
-            prob_union_bruteforce(20000, HALF)
+        # 30000 = 2^4 * 3 * 5^4 has 50 divisors; 2^15050 has 4531 digits
+        with pytest.raises(BudgetExceededError,
+                           match=r"2\^15050 half-row scans \(budget 8388608\)"):
+            prob_union_bruteforce(30000, HALF)
 
     @pytest.mark.parametrize("budget", [0, -1])
     def test_nonpositive_row_budget_leaves_union_absent(self, budget):
@@ -560,8 +616,9 @@ class TestHalfEnumeration:
             prob_union_bruteforce(4, HALF, budget=budget)
 
     def test_row_budget_counts_enumerated_rows(self):
-        # n = 10 enumerates 2^9 rows; binary n = 10 = 2 * 5 has a closed
-        # form, so the ladder's boundary shows in the signed model
+        # n = 10 spends 2^tau(10) * 2^5 = 2^9 half-row scans; binary
+        # n = 10 = 2 * 5 has a closed form, so the ladder's boundary shows
+        # in the signed model
         assert prob_union_bruteforce(10, HALF, budget=512) == \
             oracles.union_prob_by_det(10, HALF)
         with pytest.raises(BudgetExceededError) as err:
@@ -569,6 +626,15 @@ class TestHalfEnumeration:
         assert (err.value.required, err.value.budget) == (512, 511)
         assert exact_union(10, HALF, "signed", 512)[1] == "brute-force"
         assert exact_union(10, HALF, "signed", 511) == (None, "absent-over-budget")
+
+    def test_budget_counts_the_larger_half(self):
+        # odd n = 9 scans 2^tau(9) * 2^5 = 2^8 half rows: its high half
+        # has 5 bits
+        assert prob_union_bruteforce(9, HALF, budget=256) == \
+            oracles.UNION_BINARY_HALF[9]
+        with pytest.raises(BudgetExceededError) as err:
+            prob_union_bruteforce(9, HALF, budget=255)
+        assert (err.value.required, err.value.budget) == (256, 255)
 
 
 def lag_patterns(d):
@@ -917,9 +983,11 @@ class TestReport:
         assert (err.value.required, err.value.budget) == (12, 10)
 
     def test_budget_degradation(self):
-        rep = report(36, HALF, enum_budget=3, brute_budget=1000)
+        # the union of n = 36 spends 2^tau(36) * 2^18 = 2^27 half-row scans
+        rep = report(36, HALF, enum_budget=3, brute_budget=(1 << 27) - 1)
         assert rep.exact_union is None
         assert rep.provenance == "absent-over-budget"
+        assert singexact._join_fits(36, 1 << 27)
         omitted = dict(rep.omitted)
         # each refuses before fold step 0, at the full run's (w + 1)(w + 2)
         # candidates for w = 6, 3, 2, 1
