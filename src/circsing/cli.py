@@ -67,12 +67,10 @@ def parse_n_range(text: str) -> list[int]:
 
 
 def _emit(out, path: str | None) -> None:
-    """Write CSV text as it is, anything else as indented JSON."""
-    text = out if isinstance(out, str) else json.dumps(out, indent=2)
+    """The same text to stdout or ``path``: CSV as it is, JSON indented."""
+    text = out if isinstance(out, str) else json.dumps(out, indent=2) + "\n"
     if path is None or path == "-":
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
     else:
         with open(path, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
@@ -304,7 +302,7 @@ def run(argv: list[str]) -> int:
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # OSError: an unwritable --output
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -64,9 +64,7 @@ def sample_singularity(n: int, q, samples: int, seed: int,
     ``polycyc.singular_divisors``.  Fixed
     (seed, samples) give a bit-identical count for any shard split.
     """
-    singexact._check_model(model)
-    if n < 1:
-        raise ValueError("n must be positive")
+    singexact._d1_weight(n, model)  # refuses an unknown model, then n < 1
     if samples < 1:
         raise ValueError("samples must be positive")
     if shards < 1:

@@ -58,6 +58,18 @@ def _check_model(model: str) -> str:
     return model
 
 
+def _d1_weight(n: int, model: str) -> int | None:
+    """The row weight of the d = 1 event, a row sum of 0: 0 binary, n/2
+    signed, None for signed odd n.  The models differ only here, since
+    Phi_d divides J for d >= 2.  Refuses an unknown model, then n < 1."""
+    _check_model(model)
+    if n < 1:
+        raise ValueError("n must be positive")
+    if model == "binary":
+        return 0
+    return None if n % 2 else n // 2
+
+
 @functools.lru_cache(maxsize=None)
 def hnf_basis(d: int) -> tuple[tuple[int, ...], ...]:
     """The A block of the Hermite-normal-form basis (I | A) of the
@@ -298,13 +310,13 @@ def _hits(prod: np.ndarray, n: int, model: str) -> np.ndarray:
     ``prod`` is overwritten by its absolute value, which leaves column 0,
     the weight, as it was.  A sum of nonnegative floats is 0 iff every term
     is, so the group matrix times ``abs(prod)`` is 0 exactly where all of
-    d's columns are, at any magnitude.  Its d = 1 row is the weight: the
-    signed d = 1 event is weight n/2, not 0.
+    d's columns are, at any magnitude.  Its d = 1 row is the weight, and
+    holds where it is the model's ``_d1_weight``.
     """
     sums = _columns(n)[1].T @ np.abs(prod, out=prod).T
     hits = sums == 0
-    if model == "signed":
-        hits[0] = 2 * sums[0] == n
+    d1 = _d1_weight(n, model)
+    hits[0] = False if d1 is None else sums[0] == d1
     return hits
 
 
@@ -312,12 +324,12 @@ def singular_mask(bits: np.ndarray, model: str = "binary") -> np.ndarray:
     """Exact singularity verdicts for a batch of first rows.
 
     ``bits`` is an (m, n) array of 0/1 entries, one row per line.  The d = 1
-    event is row weight 0 (binary) or n/2 (signed).  Phi_d divides the
-    all-ones row J for every d >= 2 dividing n, so it divides the signed row
-    2b - J iff it divides b: both models test the 0/1 rows' folds by
-    their lag differences.  One exact float32 BLAS product with the
-    ``_columns`` matrix decides every divisor at once (``_hits``).
-    Equivalent to ``polycyc.singular_divisors`` being nonempty, row by row.
+    event is the model's ``_d1_weight``.  Phi_d divides the all-ones row J
+    for every d >= 2 dividing n, so it divides the signed row 2b - J iff it
+    divides b: both models test the 0/1 rows' folds by their lag
+    differences.  One exact float32 BLAS product with the ``_columns``
+    matrix decides every divisor at once (``_hits``).  Equivalent to
+    ``polycyc.singular_divisors`` being nonempty, row by row.
     """
     _check_model(model)
     n = bits.shape[1]
@@ -364,9 +376,10 @@ def _by_weight(ids: np.ndarray, weight: np.ndarray, classes: int,
 
 
 @functools.lru_cache(maxsize=64)
-def _singular_weight_counts(n: int, model: str = "binary") -> tuple[int, ...]:
-    """Count singular rows among all 2^n, grouped by number of one bits, by
-    a meet-in-the-middle join (Horowitz and Sahni 1974).
+def _join_counts(n: int) -> tuple[int, ...]:
+    """Count the rows of all 2^n in the union of the d >= 2 events, the same
+    in both models, by number of one bits, by a meet-in-the-middle join
+    (Horowitz and Sahni 1974).
 
     Each ``_columns`` column is a linear integer function of the row, so a
     row with low half x (bits below L = floor(n/2)) and high half y has
@@ -383,8 +396,7 @@ def _singular_weight_counts(n: int, model: str = "binary") -> tuple[int, ...]:
     the anti-diagonal sums of Cl.T @ Ch, Cl and Ch the (class, weight)
     tables of the two sides.  Every entry is at most 2^n, so float64 is
     exact for n <= 53, where the packed keys, below (2^(n-L+1))^2, fit
-    int64; past that the counts are refused.  The d = 1 event is the zero
-    row (binary) or every row of weight n/2 (signed).
+    int64; past that the counts are refused.
     """
     if n > 53:
         raise BudgetExceededError(
@@ -421,10 +433,14 @@ def _singular_weight_counts(n: int, model: str = "binary") -> tuple[int, ...]:
 
     join(0, 1, np.arange(len(lo)), np.arange(len(hi)),
          np.zeros(len(lo), dtype=np.int64), np.zeros(len(hi), dtype=np.int64), 1)
-    if model == "binary":  # the d = 1 event
-        counts[0] = 1
-    elif n % 2 == 0:
-        counts[n // 2] = math.comb(n, n // 2)
+    return tuple(counts)
+
+
+def _singular_weight_counts(n: int, model: str = "binary") -> tuple[int, ...]:
+    """``_join_counts`` with every row of the model's ``_d1_weight`` added."""
+    counts, w = list(_join_counts(n)), _d1_weight(n, model)
+    if w is not None:
+        counts[w] = math.comb(n, w)
     return tuple(counts)
 
 
@@ -452,9 +468,7 @@ def prob_union_bruteforce(n: int, q: Fraction, model: str = "binary",
     Each row is weighted q^w (1-q)^(n-w) where w counts the one bits of
     the underlying Bernoulli vector, in both models.
     """
-    _check_model(model)
-    if n < 1:
-        raise ValueError("n must be positive")
+    _d1_weight(n, model)  # refuses an unknown model, then n < 1
     binomstats.check_exponent(n, q, f"brute force for n={n} needs exponent {n}")
     if not _join_fits(n, budget):
         scans = _join_scans(n)
@@ -471,13 +485,10 @@ def divisor_probability(d: int, n: int, q: Fraction, model: str = "binary",
     """Single divisor probability with the method that produced it: the one
     dispatch on d's factorization (the models differ only at d = 1)."""
     _check_divisor(d, n, trivial=True)
-    _check_model(model)
+    w = _d1_weight(n, model)
     binomstats._check_exact_q(q)
     if d == 1:
-        # The event is row weight 0 (binary) or n/2 (signed, none for odd n).
-        value = Fraction(0)
-        if model == "binary" or n % 2 == 0:
-            value = binomstats.binom_pdf_exact(0 if model == "binary" else n // 2, n, q)
+        value = Fraction(0) if w is None else binomstats.binom_pdf_exact(w, n, q)
         method = "trivial-d1"
     else:
         value = prob_divisor_general(d, n, q, budget)
@@ -491,15 +502,12 @@ def divisor_probability(d: int, n: int, q: Fraction, model: str = "binary",
 
 def exact_union(n: int, q: Fraction, model: str = "binary",
                 budget: int = BRUTEFORCE_BUDGET) -> tuple[Fraction | None, str]:
-    """Exact union over all divisors with its provenance: the closed form,
-    else the exhaustive weight counts if their half-row scans are within
-    ``budget`` (``_join_fits``), else None with ``absent-over-budget``."""
-    _check_model(model)
-    if n < 1:
-        raise ValueError("n must be positive")
+    """Exact union and provenance: the closed form if the d = 1 event adds
+    no row to the d >= 2 union, else the weight counts if their half-row
+    scans are within ``budget``, else None with ``absent-over-budget``."""
+    d1 = _d1_weight(n, model)
     binomstats._check_exact_q(q)
-    if model == "binary" or n % 2:
-        # odd n: no signed row has half weight, so the two unions agree
+    if d1 in (0, None):
         value = prob_union_closed_form(n, q)
         if value is not None:
             return value, "closed-form"

@@ -79,6 +79,29 @@ class TestExactCommand:
         assert code == 0 and out == ""
         assert json.loads(path.read_text())["n"] == 4
 
+    @pytest.mark.parametrize("argv", [
+        ["exact", "--n", "4", "--q", "1/2"],
+        ["table", "--n-range", "2:6", "--q", "1/2"],
+        ["table", "--n-range", "2:6", "--q", "1/2", "--format", "json"],
+    ])
+    def test_output_file_holds_stdout_text(self, tmp_path, capsys, argv):
+        # JSON and CSV alike: the file gets stdout's bytes, final newline too
+        code, stdout, _ = run_capture(capsys, argv)
+        assert code == 0 and stdout.endswith("\n")
+        path = tmp_path / "out"
+        assert run_capture(capsys, argv + ["--output", str(path)])[:2] == (0, "")
+        assert path.read_bytes() == stdout.encode()
+
+    @pytest.mark.parametrize("where", ["missing/report.json", "."])
+    def test_unwritable_output_is_usage_error(self, tmp_path, capsys, where):
+        # a missing directory or a directory: one error line, exit 2
+        path = tmp_path / where
+        code, out, err = run_capture(
+            capsys, ["exact", "--n", "4", "--q", "1/2", "--output", str(path)])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(path) in err
+
 
 class TestDivisorAndBounds:
     def test_divisor(self, capsys):

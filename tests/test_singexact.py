@@ -96,6 +96,34 @@ class TestTrivialDivisor:
         with pytest.raises(BudgetExceededError):
             divisor_probability(1, 12, HALF, "signed")
 
+    @pytest.mark.parametrize("model", ["binary", "signed"])
+    def test_d1_weight_matches_scalar_oracle(self, model):
+        # Phi_1 divides a row iff its weight is the model's d = 1 weight;
+        # the mask's d = 1 verdict, the union's counts at that weight and
+        # the d = 1 probability all read the same weight
+        for n in range(1, 13):
+            w = singexact._d1_weight(n, model)
+            bits = all_bit_rows(n)
+            weights = bits.sum(axis=1).tolist()
+            event = [1 in s for s in scalar_divisor_sets(n, bits, model)]
+            assert event == [k == w for k in weights], (n, model)
+            assert event == [1 in s for s in divisor_hit_sets(bits, model)]
+            if w is not None:
+                assert singexact._singular_weight_counts(n, model)[w] == \
+                    math.comb(n, w)
+            want = sum(THIRD ** k * (1 - THIRD) ** (n - k)
+                       for k, hit in zip(weights, event) if hit)
+            assert divisor_probability(1, n, THIRD, model).value == want
+
+    def test_d1_weight_refuses_model_then_n(self):
+        assert [singexact._d1_weight(n, "signed") for n in (1, 2, 7, 8)] == \
+            [None, 1, None, 4]
+        assert singexact._d1_weight(7, "binary") == 0
+        with pytest.raises(ValueError, match="model must be one of"):
+            singexact._d1_weight(0, "ternary")
+        with pytest.raises(ValueError, match="n must be positive"):
+            singexact._d1_weight(0, "signed")
+
 
 def basis_rows(d):
     """The rows (I | A) of the lattice basis whose A block hnf_basis(d) is."""
@@ -483,10 +511,10 @@ def narrow_bound(monkeypatch):
 
 @pytest.fixture
 def cold_counts():
-    """A cold ``_singular_weight_counts`` cache before and after the test."""
-    singexact._singular_weight_counts.cache_clear()
+    """A cold ``_join_counts`` cache before and after the test."""
+    singexact._join_counts.cache_clear()
     yield
-    singexact._singular_weight_counts.cache_clear()
+    singexact._join_counts.cache_clear()
 
 
 class TestHalfEnumeration:
@@ -515,6 +543,20 @@ class TestHalfEnumeration:
         assert max(singexact._columns(n)[1].sum(axis=0).max() for n in ns) > 1
         for (n, model), counts in want.items():
             assert singexact._singular_weight_counts(n, model) == counts, (n, model)
+
+    @pytest.mark.parametrize("n", [12, 13])
+    def test_both_models_share_one_join(self, cold_counts, monkeypatch, n):
+        # the d >= 2 union is the same in both models, so asking for both
+        # builds the two halves' subset sums once
+        want = {model: Fraction(sum(oracles.full_weight_counts(n, model)), 1 << n)
+                for model in ("binary", "signed")}
+        built = []
+        subset_sums = singexact._subset_sums
+        monkeypatch.setattr(singexact, "_subset_sums",
+                            lambda rows: built.append(len(rows)) or subset_sums(rows))
+        for model in ("binary", "signed"):
+            assert prob_union_bruteforce(n, HALF, model) == want[model], model
+        assert built == [n // 2, n - n // 2]
 
     @pytest.mark.parametrize("n", [28, 30])
     @pytest.mark.parametrize("model", ["binary", "signed"])
@@ -1045,6 +1087,19 @@ class TestNonpositiveN:
         for call in calls:
             with pytest.raises(ValueError, match="n must be positive"):
                 call()
+
+    @pytest.mark.parametrize("n", [0, -1, -6])
+    @pytest.mark.parametrize("model", ["binary", "signed"])
+    def test_union_layer_refuses(self, n, model):
+        # at any union budget, a budget that admits nothing included
+        for budget in (0, singexact.BRUTEFORCE_BUDGET):
+            for call in (exact_union, prob_union_bruteforce):
+                with pytest.raises(ValueError, match="n must be positive"):
+                    call(n, HALF, model, budget)
+        with pytest.raises(ValueError, match="model must be one of"):
+            exact_union(n, HALF, "ternary")
+        with pytest.raises(ValueError, match="n must be positive"):
+            mcsim.sample_singularity(n, 0.5, 10, 0, model)
 
 
 # (q, site, largest n inside a budget of 40 bits, smallest n past it)
