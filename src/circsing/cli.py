@@ -72,7 +72,11 @@ def _emit(out, path: str | None) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8", newline="") as handle:
+        try:  # a missing directory or a directory is a usage error
+            handle = open(path, "w", encoding="utf-8", newline="")
+        except OSError as exc:
+            raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from None
+        with handle:
             handle.write(text)
 
 
@@ -302,7 +306,7 @@ def run(argv: list[str]) -> int:
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError) as exc:  # OSError: an unwritable --output
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

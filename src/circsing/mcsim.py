@@ -64,7 +64,7 @@ def sample_singularity(n: int, q, samples: int, seed: int,
     ``polycyc.singular_divisors``.  Fixed
     (seed, samples) give a bit-identical count for any shard split.
     """
-    singexact._d1_weight(n, model)  # refuses an unknown model, then n < 1
+    singexact._check_model(model, n)
     if samples < 1:
         raise ValueError("samples must be positive")
     if shards < 1:

@@ -52,9 +52,12 @@ COLUMN_BYTES = 1 << 30
 MODELS = ("binary", "signed")
 
 
-def _check_model(model: str) -> str:
+def _check_model(model: str, n: int = 1) -> str:
+    """Refuse an unknown model, then n < 1."""
     if model not in MODELS:
         raise ValueError(f"model must be one of {MODELS}, got {model!r}")
+    if n < 1:
+        raise ValueError("n must be positive")
     return model
 
 
@@ -62,12 +65,8 @@ def _d1_weight(n: int, model: str) -> int | None:
     """The row weight of the d = 1 event, a row sum of 0: 0 binary, n/2
     signed, None for signed odd n.  The models differ only here, since
     Phi_d divides J for d >= 2.  Refuses an unknown model, then n < 1."""
-    _check_model(model)
-    if n < 1:
-        raise ValueError("n must be positive")
-    if model == "binary":
-        return 0
-    return None if n % 2 else n // 2
+    _check_model(model, n)
+    return 0 if model == "binary" else (None if n % 2 else n // 2)
 
 
 @functools.lru_cache(maxsize=None)
@@ -376,10 +375,9 @@ def _by_weight(ids: np.ndarray, weight: np.ndarray, classes: int,
 
 
 @functools.lru_cache(maxsize=64)
-def _join_counts(n: int) -> tuple[int, ...]:
-    """Count the rows of all 2^n in the union of the d >= 2 events, the same
-    in both models, by number of one bits, by a meet-in-the-middle join
-    (Horowitz and Sahni 1974).
+def _singular_weight_counts(n: int, model: str = "binary") -> tuple[int, ...]:
+    """Count singular rows among all 2^n, grouped by number of one bits, by
+    a meet-in-the-middle join (Horowitz and Sahni 1974).
 
     Each ``_columns`` column is a linear integer function of the row, so a
     row with low half x (bits below L = floor(n/2)) and high half y has
@@ -396,7 +394,8 @@ def _join_counts(n: int) -> tuple[int, ...]:
     the anti-diagonal sums of Cl.T @ Ch, Cl and Ch the (class, weight)
     tables of the two sides.  Every entry is at most 2^n, so float64 is
     exact for n <= 53, where the packed keys, below (2^(n-L+1))^2, fit
-    int64; past that the counts are refused.
+    int64; past that the counts are refused.  The d = 1 event is every row
+    of the model's ``_d1_weight``.
     """
     if n > 53:
         raise BudgetExceededError(
@@ -433,12 +432,7 @@ def _join_counts(n: int) -> tuple[int, ...]:
 
     join(0, 1, np.arange(len(lo)), np.arange(len(hi)),
          np.zeros(len(lo), dtype=np.int64), np.zeros(len(hi), dtype=np.int64), 1)
-    return tuple(counts)
-
-
-def _singular_weight_counts(n: int, model: str = "binary") -> tuple[int, ...]:
-    """``_join_counts`` with every row of the model's ``_d1_weight`` added."""
-    counts, w = list(_join_counts(n)), _d1_weight(n, model)
+    w = _d1_weight(n, model)
     if w is not None:
         counts[w] = math.comb(n, w)
     return tuple(counts)
@@ -468,7 +462,7 @@ def prob_union_bruteforce(n: int, q: Fraction, model: str = "binary",
     Each row is weighted q^w (1-q)^(n-w) where w counts the one bits of
     the underlying Bernoulli vector, in both models.
     """
-    _d1_weight(n, model)  # refuses an unknown model, then n < 1
+    _check_model(model, n)
     binomstats.check_exponent(n, q, f"brute force for n={n} needs exponent {n}")
     if not _join_fits(n, budget):
         scans = _join_scans(n)

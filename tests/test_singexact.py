@@ -511,10 +511,10 @@ def narrow_bound(monkeypatch):
 
 @pytest.fixture
 def cold_counts():
-    """A cold ``_join_counts`` cache before and after the test."""
-    singexact._join_counts.cache_clear()
+    """A cold ``_singular_weight_counts`` cache before and after the test."""
+    singexact._singular_weight_counts.cache_clear()
     yield
-    singexact._join_counts.cache_clear()
+    singexact._singular_weight_counts.cache_clear()
 
 
 class TestHalfEnumeration:
@@ -543,20 +543,6 @@ class TestHalfEnumeration:
         assert max(singexact._columns(n)[1].sum(axis=0).max() for n in ns) > 1
         for (n, model), counts in want.items():
             assert singexact._singular_weight_counts(n, model) == counts, (n, model)
-
-    @pytest.mark.parametrize("n", [12, 13])
-    def test_both_models_share_one_join(self, cold_counts, monkeypatch, n):
-        # the d >= 2 union is the same in both models, so asking for both
-        # builds the two halves' subset sums once
-        want = {model: Fraction(sum(oracles.full_weight_counts(n, model)), 1 << n)
-                for model in ("binary", "signed")}
-        built = []
-        subset_sums = singexact._subset_sums
-        monkeypatch.setattr(singexact, "_subset_sums",
-                            lambda rows: built.append(len(rows)) or subset_sums(rows))
-        for model in ("binary", "signed"):
-            assert prob_union_bruteforce(n, HALF, model) == want[model], model
-        assert built == [n // 2, n - n // 2]
 
     @pytest.mark.parametrize("n", [28, 30])
     @pytest.mark.parametrize("model", ["binary", "signed"])
