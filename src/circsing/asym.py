@@ -69,10 +69,10 @@ def approx_closed(n: int, q) -> AsymptoticValue:
     """
     if n < 2:
         raise ValueError("n must be at least 2")
-    if polycyc.is_prime(n):
+    p = polycyc.smallest_prime(n)
+    if p == n:
         raise ValueError("closed-form rate applies to composite n only")
     qf = binomstats._check_float_q(q)
-    p = polycyc.smallest_prime(n)
     log_value = (-0.5 * math.log(p)
                  + 0.5 * (p - 1) * (math.log(p) - math.log(2 * math.pi * qf * (1 - qf)))
                  - 0.5 * (p - 1) * math.log(n))
@@ -121,7 +121,8 @@ def convergence_table(q, n_list, model: str = "binary",
 
     Exact values come from the union ladder ``singexact.exact_union`` and
     are absent when no exact strategy fits (the exhaustive union is capped
-    at ``budget`` half-row scans, every value by the exponent budget) or
+    at ``budget`` half-row scans, every value by the exponent budget, which
+    is checked before n is factored) or
     when q is not rational; the ratio column is
     exact/approx as a float, absent when either is absent.  When the
     dominant-divisor sum underflows to 0.0, the ratio divides by that sum
@@ -136,6 +137,8 @@ def convergence_table(q, n_list, model: str = "binary",
         exact = None
         if isinstance(q, Fraction):
             with contextlib.suppress(BudgetExceededError):
+                # the exponent first: the union ladder factors n
+                binomstats.check_exponent(n, q, f"table row n={n} needs exponent {n}")
                 exact = singexact.exact_union(n, q, model, budget)[0]
         if exact is None:
             ratio = None

@@ -14,6 +14,7 @@ the environment variable CIRCSING_SAMPLES_CAP.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import decimal
@@ -23,7 +24,7 @@ import os
 import sys
 from fractions import Fraction
 
-from . import asym, mcsim, polycyc, singexact, verify
+from . import asym, binomstats, mcsim, polycyc, singexact, verify
 from .errors import BudgetExceededError
 
 DEFAULT_SAMPLES_CAP = 100_000_000
@@ -66,20 +67,6 @@ def parse_n_range(text: str) -> list[int]:
     return list(range(a, b + 1, step))
 
 
-def _emit(out, path: str | None) -> None:
-    """The same text to stdout or ``path``: CSV as it is, JSON indented."""
-    text = out if isinstance(out, str) else json.dumps(out, indent=2) + "\n"
-    if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
-        try:  # a missing directory or a directory is a usage error
-            handle = open(path, "w", encoding="utf-8", newline="")
-        except OSError as exc:
-            raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from None
-        with handle:
-            handle.write(text)
-
-
 def digits(x: int) -> str:
     """Decimal digits of x past the interpreter's int-to-str digit limit;
     Decimal ignores that limit, so the process-wide setting stays as it is."""
@@ -116,46 +103,36 @@ def bounds_json(bounds: dict[int, tuple[Fraction | None, Fraction]]) -> list[dic
             for d, (lower, upper) in sorted(bounds.items())]
 
 
-def _cmd_exact(args) -> int:
-    q = require_rational(parse_q(args.q), "exact")
-    model = "signed" if args.signed else "binary"
-    rep = singexact.report(args.n, q, model, enum_budget=args.enum_budget,
+def _cmd_exact(args, q):
+    rep = singexact.report(args.n, q, args.model, enum_budget=args.enum_budget,
                            brute_budget=args.brute_budget)
-    _emit({**to_json(rep), "bounds": bounds_json(rep.bounds),
-           "omitted": [{"d": d, "reason": why} for d, why in rep.omitted]},
-          args.output)
-    return 0
+    return {**to_json(rep), "bounds": bounds_json(rep.bounds),
+            "omitted": [{"d": d, "reason": why} for d, why in rep.omitted]}
 
 
-def _cmd_divisor(args) -> int:
-    q = require_rational(parse_q(args.q), "divisor")
-    model = "signed" if args.signed else "binary"
-    dp = singexact.divisor_probability(args.d, args.n, q, model, args.enum_budget)
-    _emit(to_json(dp), args.output)
-    return 0
+def _cmd_divisor(args, q):
+    return to_json(singexact.divisor_probability(args.d, args.n, q, args.model,
+                                                 args.enum_budget))
 
 
-def _cmd_bounds(args) -> int:
-    q = require_rational(parse_q(args.q), "bounds")
-    ds = [args.d] if args.d is not None else [
-        d for d in polycyc.divisors(args.n) if d >= 2]
+def _cmd_bounds(args, q):
+    ds = [args.d]
+    if args.d is None:  # refuse the exponent before n is factored
+        binomstats.check_exponent(args.n, q,
+                                  f"bounds for n={args.n} need exponent {args.n}")
+        ds = [d for d in polycyc.divisors(args.n) if d >= 2]
     bounds = {d: singexact.prob_bounds(d, args.n, q) for d in ds}
-    _emit({"n": args.n, "q": to_json(q), "bounds": bounds_json(bounds)}, args.output)
-    return 0
+    return {"n": args.n, "q": to_json(q), "bounds": bounds_json(bounds)}
 
 
-def _cmd_asym(args) -> int:
-    q = parse_q(args.q)
-    if args.signed and args.formula == "closed":
+def _cmd_asym(args, q):
+    if args.model == "signed" and args.formula == "closed":
         raise ValueError("--formula closed has no signed form; drop --signed")
-    if args.signed:
-        value = asym.approx_signed(args.n, q)
-    elif args.formula == "closed":
-        value = asym.approx_closed(args.n, q)
-    else:
-        value = asym.approx_main(args.n, q)
-    _emit(to_json(value), args.output)
-    return 0
+    if args.model == "signed":
+        return to_json(asym.approx_signed(args.n, q))
+    if args.formula == "closed":
+        return to_json(asym.approx_closed(args.n, q))
+    return to_json(asym.approx_main(args.n, q))
 
 
 TABLE_COLUMNS = ("n", "exact_num", "exact_den", "exact_decimal",
@@ -178,18 +155,13 @@ def table_to_csv(rows: list[asym.ConvergenceRow]) -> str:
     return buf.getvalue()
 
 
-def _cmd_table(args) -> int:
-    q = require_rational(parse_q(args.q), "table")
-    model = "signed" if args.signed else "binary"
-    rows = asym.convergence_table(q, parse_n_range(args.n_range), model,
+def _cmd_table(args, q):
+    rows = asym.convergence_table(q, parse_n_range(args.n_range), args.model,
                                   args.brute_budget)
-    _emit(to_json(rows) if args.format == "json" else table_to_csv(rows),
-          args.output)
-    return 0
+    return to_json(rows) if args.format == "json" else table_to_csv(rows)
 
 
-def _cmd_mc(args) -> int:
-    q = parse_q(args.q)
+def _cmd_mc(args, q):
     try:
         cap = int(os.environ.get("CIRCSING_SAMPLES_CAP", DEFAULT_SAMPLES_CAP))
     except ValueError:
@@ -198,14 +170,12 @@ def _cmd_mc(args) -> int:
         raise BudgetExceededError(
             f"{args.samples} samples exceed the cap {cap}",
             required=args.samples, budget=cap)
-    model = "signed" if args.signed else "binary"
-    est = mcsim.sample_singularity(args.n, q, args.samples, args.seed, model,
-                                   args.shards)
+    est = mcsim.sample_singularity(args.n, q, args.samples, args.seed,
+                                   args.model, args.shards)
     payload = to_json(est)
     if isinstance(q, Fraction):
         payload["q_source"] = args.q
-    _emit(payload, args.output)
-    return 0
+    return payload
 
 
 def _cmd_verify(args) -> int:
@@ -225,6 +195,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Singularity probabilities of random circulant Bernoulli matrices.")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    signed = dict(dest="model", action="store_const", const="signed", default="binary")
+
     def add_common(p, enum_budget=False, brute_budget=False):
         p.add_argument("--output", default=None,
                        help="write machine output to this path (default stdout)")
@@ -242,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("exact", help="exact probability report for one n")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--q", required=True, help="rational like 1/2")
-    p.add_argument("--signed", action="store_true")
+    p.add_argument("--signed", **signed)
     add_common(p, enum_budget=True, brute_budget=True)
     p.set_defaults(func=_cmd_exact)
 
@@ -250,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--q", required=True, help="rational like 1/2")
-    p.add_argument("--signed", action="store_true")
+    p.add_argument("--signed", **signed)
     add_common(p, enum_budget=True)
     p.set_defaults(func=_cmd_divisor)
 
@@ -265,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("asym", help="large-n approximation")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--q", required=True, help="rational or decimal")
-    p.add_argument("--signed", action="store_true")
+    p.add_argument("--signed", **signed)
     p.add_argument("--formula", choices=("main", "closed"), default="main")
     add_common(p)
     p.set_defaults(func=_cmd_asym)
@@ -273,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("table", help="exact-vs-approximation convergence table")
     p.add_argument("--n-range", required=True, help="A:B[:step], ends inclusive")
     p.add_argument("--q", required=True, help="rational like 1/2")
-    p.add_argument("--signed", action="store_true")
+    p.add_argument("--signed", **signed)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     add_common(p, brute_budget=True)
     p.set_defaults(func=_cmd_table)
@@ -284,31 +256,57 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--shards", type=int, default=1)
-    p.add_argument("--signed", action="store_true")
+    p.add_argument("--signed", **signed)
     add_common(p)
     p.set_defaults(func=_cmd_mc)
 
     p = sub.add_parser("verify", help="run a self-check suite")
     p.add_argument("--suite", choices=sorted(verify.SUITES), required=True)
-    p.set_defaults(func=_cmd_verify)
 
     return parser
 
 
 def run(argv: list[str]) -> int:
+    """Parse argv, run one command and write what it returns (JSON indented,
+    CSV as it is); each failure is one ``error:`` line and its exit code."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
         return int(exc.code or 0)
+    out = sys.stdout  # looked up at call time
     try:
-        return args.func(args)
+        if args.command == "verify":
+            return _cmd_verify(args)
+        q = parse_q(args.q)
+        if args.command in ("exact", "divisor", "bounds", "table"):
+            q = require_rational(q, args.command)
+        if args.output not in (None, "-"):  # opened, so emptied, before the work
+            try:
+                out = open(args.output, "w", encoding="utf-8", newline="")
+            except OSError as exc:  # say, a missing directory: a usage error
+                raise ValueError(
+                    f"cannot write {args.output}: {exc.strerror or exc}") from None
+        result = args.func(args, q)
+        try:  # the flush reports a full disk or a closed pipe: a resource error
+            out.write(result if isinstance(result, str)
+                      else json.dumps(result, indent=2) + "\n")
+            out.flush()
+        except OSError as exc:
+            print(f"error: cannot write {args.output or 'stdout'}: "
+                  f"{exc.strerror or exc}", file=sys.stderr)
+            return 3
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if out is not sys.stdout:  # flushed or failed: a close error adds nothing
+            with contextlib.suppress(OSError):
+                out.close()
+    return 0
 
 
 def main() -> None:

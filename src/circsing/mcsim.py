@@ -21,6 +21,13 @@ from . import binomstats, singexact
 
 GENERATOR = "philox-4x64-10"
 
+#: Byte bound on the raw Philox bytes of one slice.  4 MiB, not 16: after a
+#: 16 MiB batch is freed, glibc's dynamic mmap threshold rises past it,
+#: later batches come from the heap, and the heap keeps them, which added a
+#: batch to peak RSS in some memory layouts.
+BATCH_BYTES = 1 << 22
+
+
 @dataclasses.dataclass(frozen=True)
 class EstimateWithCI:
     """Monte-Carlo estimate with its binomial standard error and provenance."""
@@ -74,10 +81,11 @@ def sample_singularity(n: int, q, samples: int, seed: int,
     if not 0 <= seed < 2 ** 64:
         raise ValueError("seed must fit in 64 bits")
     qf = binomstats._check_float_q(q)
+    singexact._columns(n)  # built, or refused, before any row is drawn
 
-    # Each slice draws at most singexact.BATCH_BYTES raw Philox bytes (one
-    # row takes 32 * ceil(n/4)).
-    rows = max(1, singexact.BATCH_BYTES // (32 * -(-n // 4)))
+    # Each slice draws at most BATCH_BYTES raw Philox bytes (one row takes
+    # 32 * ceil(n/4)).
+    rows = max(1, BATCH_BYTES // (32 * -(-n // 4)))
     count = 0
     start = 0
     for size in shard_sizes(samples, shards):

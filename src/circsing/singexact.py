@@ -37,12 +37,6 @@ ENUMERATION_BUDGET = 10_000_000
 #: 2^tau(n) * 2^ceil(n/2) at dimension n (``_join_scans``).
 BRUTEFORCE_BUDGET = 1 << 23
 
-#: Byte bound on the raw Philox bytes of one Monte-Carlo slice.  4 MiB, not
-#: 16: after a 16 MiB batch is freed, glibc's dynamic mmap threshold rises
-#: past it, later batches come from the heap, and the heap keeps them, which
-#: added a batch to peak RSS in some memory layouts.
-BATCH_BYTES = 1 << 22
-
 #: Byte bound on the ``_columns`` matrix, 4n bytes a column: it is built
 #: whole and cached before any row is tested, and grows about 4x per
 #: doubling of n (n = 65536 would take 1.9 GB), so past this bound the mask
@@ -266,8 +260,18 @@ def _columns(n: int) -> tuple[np.ndarray, np.ndarray]:
     is at most the column's absolute sum, below R^per, so float32 BLAS is
     exact.  d = 1 has no primes: its column of ones gives the weight.  An
     R past ``FLOAT32_EXACT``, or columns past ``COLUMN_BYTES``, are refused
-    before any column is built.
+    before any column is built; columns that must pass it, at least
+    4n * ceil(n/24) bytes (a column holds at most 24 coordinates, and the
+    phi(d) coordinates add up to n), are refused before n is factored.
     """
+    def refuse_past_bytes(columns: int, least: str = "") -> None:
+        if 4 * n * columns > COLUMN_BYTES:
+            raise BudgetExceededError(
+                f"mask columns for n={n} take {least}{4 * n * columns} bytes "
+                f"(budget {COLUMN_BYTES})",
+                required=4 * n * columns, budget=COLUMN_BYTES)
+
+    refuse_past_bytes(-(-n // (FLOAT32_EXACT.bit_length() - 1)), "at least ")
     divisors = polycyc.divisors(n)
     layout, owner = [], []
     for i, d in enumerate(divisors):
@@ -283,11 +287,7 @@ def _columns(n: int) -> tuple[np.ndarray, np.ndarray]:
         phi = polycyc.totient(d)
         layout.append((d, lags, span + 1, per, phi, len(owner)))
         owner += [i] * -(-phi // per)
-    if 4 * n * len(owner) > COLUMN_BYTES:
-        raise BudgetExceededError(
-            f"mask columns for n={n} take {4 * n * len(owner)} bytes "
-            f"(budget {COLUMN_BYTES})",
-            required=4 * n * len(owner), budget=COLUMN_BYTES)
+    refuse_past_bytes(len(owner))
     cols = np.zeros((n, len(owner)), dtype=np.float32)
     for d, lags, radix, per, phi, at in layout:
         t = np.arange(phi)

@@ -409,3 +409,8 @@ WEIGHT_COUNTS = {
         4452870, 32032875, 2131770, 9741585, 2077020, 1894185, 97350, 267555,
         14916, 11025, 1000, 225, 0, 1),
 }
+
+# Dimensions that every exact budget and the mask's column bound refuse,
+# and whose factoring by trial division would not end in time:
+# 2 * (2^127 - 1) and 2 * (10^16 + 61).
+HUGE_N = (2 * (2**127 - 1), 20000000000000122)

@@ -3,9 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from circsing import asym, binomstats, singexact
+from circsing import asym, binomstats, polycyc, singexact
 from circsing.asym import (approx_closed, approx_main, approx_signed,
                            convergence_table)
+
+import oracles
 
 HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
@@ -64,6 +66,23 @@ class TestApproxClosed:
     def test_rejects_primes(self):
         with pytest.raises(ValueError):
             approx_closed(13, 0.5)
+
+    @pytest.mark.parametrize("n, composite", [(10007 * 10009, True), (10007, False)])
+    def test_one_trial_division(self, monkeypatch, n, composite):
+        # p(n) == n marks a prime, so n is trial-divided once either way
+        calls = []
+        smallest_prime = polycyc.smallest_prime
+
+        def counting(m):
+            calls.append(m)
+            return smallest_prime(m)
+        monkeypatch.setattr(polycyc, "smallest_prime", counting)
+        if composite:
+            assert approx_closed(n, 0.5).formula == "closed-form-corollary"
+        else:
+            with pytest.raises(ValueError, match="composite"):
+                approx_closed(n, 0.5)
+        assert calls == [n]
 
     def test_large_cofactor_is_not_factored(self):
         # p(n) = 2 decides both formulas; n/2 = 2^127 - 1 is prime
@@ -148,6 +167,14 @@ class TestConvergenceTable:
     def test_rejects_n_below_two(self):
         with pytest.raises(ValueError):
             convergence_table(HALF, [1, 4])
+
+    @pytest.mark.parametrize("model", ["binary", "signed"])
+    def test_exponent_refused_before_n_is_factored(self, factor_limit, model):
+        factor_limit(binomstats.POWER_SUM_BUDGET)
+        rows = convergence_table(HALF, oracles.HUGE_N, model)
+        assert [r.n for r in rows] == sorted(oracles.HUGE_N)
+        assert all(r.exact is None and r.ratio is None and r.approx > 0
+                   for r in rows)
 
     def test_underflowed_approx_takes_ratio_from_exact_sum(self):
         # prime n = 1103: approx_main is 2^-1102, which is 0.0 as a float;

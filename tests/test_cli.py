@@ -1,12 +1,15 @@
 import csv
+import errno
 import io
 import json
 import math
+import os
+import sys
 from fractions import Fraction
 
 import pytest
 
-from circsing import asym, binomstats, cli
+from circsing import asym, binomstats, cli, singexact
 
 import oracles
 
@@ -101,6 +104,93 @@ class TestExactCommand:
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
         assert str(path) in err
+
+    def test_unwritable_output_refused_before_work(self, tmp_path, capsys,
+                                                   monkeypatch):
+        def no_report(*args, **kwargs):
+            raise AssertionError("computed before --output was opened")
+        monkeypatch.setattr(singexact, "report", no_report)
+        path = tmp_path / "missing" / "report.json"
+        code, out, err = run_capture(
+            capsys, ["exact", "--n", "38", "--q", "1/2", "--output", str(path)])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot write {path}: ")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("argv", [
+        ["exact", "--n", "4", "--q", "1/2"],
+        ["table", "--n-range", "2:40", "--q", "1/2"],
+    ])
+    def test_full_disk_is_resource_error(self, capsys, argv):
+        # the write or the flush at close raises ENOSPC: one line, exit 3
+        code, out, err = run_capture(capsys, argv + ["--output", "/dev/full"])
+        assert (code, out) == (3, "")
+        assert err.startswith("error: cannot write /dev/full: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_stdout_write_error_is_resource_error(self, capsys, monkeypatch):
+        # run writes to sys.stdout as it finds it at call time
+        class ClosedPipe(io.StringIO):
+            def flush(self):
+                raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        code = cli.run(["exact", "--n", "4", "--q", "1/2"])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            f"error: cannot write stdout: {os.strerror(errno.EPIPE)}\n")
+
+    def test_failed_command_leaves_output_empty(self, tmp_path, capsys):
+        # --output is opened, and so emptied, once q has parsed
+        path = tmp_path / "report.json"
+        path.write_text("old")
+        code, _, err = run_capture(
+            capsys, ["exact", "--n", "4", "--q", "2", "--output", str(path)])
+        assert code == 2 and "q=2 must lie strictly between" in err
+        assert path.read_text() == "old"
+        code, _, err = run_capture(
+            capsys, ["exact", "--n", "0", "--q", "1/2", "--output", str(path)])
+        assert code == 2 and "n must be positive" in err
+        assert path.read_text() == ""
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["exact", "--n", "4", "--q", "abc"],
+     "cannot parse q='abc': could not convert string to float: 'abc'"),
+    (["exact", "--n", "4", "--q", "1/0"], "cannot parse q='1/0': Fraction(1, 0)"),
+    (["mc", "--n", "4", "--q", "x/2", "--samples", "3"],
+     "cannot parse q='x/2': Invalid literal for Fraction: 'x/2'"),
+    (["exact", "--n", "4", "--q", "3/2"], "q=3/2 must lie strictly between 0 and 1"),
+    (["asym", "--n", "4", "--q", "1"], "q=1 must lie strictly between 0 and 1"),
+    (["divisor", "--n", "4", "--d", "2", "--q", "0.5"],
+     "the divisor command computes exact rationals; pass q as a fraction like 1/2"),
+    (["bounds", "--n", "4", "--q", "0.25"],
+     "the bounds command computes exact rationals; pass q as a fraction like 1/2"),
+    (["table", "--n-range", "2:4", "--q", "0.5"],
+     "the table command computes exact rationals; pass q as a fraction like 1/2"),
+])
+def test_q_errors(capsys, argv, message):
+    assert run_capture(capsys, argv) == (2, "", f"error: {message}\n")
+
+
+class TestRefusalsComeFirst:
+    """Dimensions every budget refuses are refused before n is factored
+    (the table's rows: ``test_asym``)."""
+
+    @pytest.mark.parametrize("n", [str(n) for n in oracles.HUGE_N])
+    def test_bounds_refused(self, capsys, factor_limit, n):
+        factor_limit(binomstats.POWER_SUM_BUDGET)
+        code, out, err = run_capture(capsys, ["bounds", "--n", n, "--q", "1/2"])
+        assert (code, out) == (3, "")
+        assert err == (f"error: bounds for n={n} need exponent {n} "
+                       "(budget 200000)\n")
+
+    @pytest.mark.parametrize("n", [str(n) for n in oracles.HUGE_N])
+    def test_mc_refused(self, capsys, factor_limit, n):
+        factor_limit(0)
+        code, out, err = run_capture(
+            capsys, ["mc", "--n", n, "--q", "1/2", "--samples", "1"])
+        assert (code, out) == (3, "")
+        assert err.startswith(f"error: mask columns for n={n} take at least ")
 
 
 class TestDivisorAndBounds:

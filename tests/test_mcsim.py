@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from circsing import cli, mcsim, singexact
+from circsing.errors import BudgetExceededError
 from circsing.mcsim import EstimateWithCI, sample_singularity, shard_sizes
 from circsing.polycyc import FirstRow, singular_divisors
 from circsing.singexact import prob_union_bruteforce
@@ -105,6 +106,18 @@ class TestEstimateFields:
         assert est.stderr == math.sqrt(est.p_hat * (1 - est.p_hat) / est.samples)
         assert 0 <= est.p_hat <= 1
 
+    @pytest.mark.parametrize("n", oracles.HUGE_N)
+    def test_columns_refused_before_any_row(self, factor_limit, monkeypatch, n):
+        # 4n bytes a column, at most 24 coordinates a column and n in all:
+        # refused from n alone, before n is factored or a row is drawn
+        factor_limit(0)
+
+        def no_rows(*args):
+            raise AssertionError("drew rows before the columns")
+        monkeypatch.setattr(mcsim, "_sample_bits", no_rows)
+        with pytest.raises(BudgetExceededError, match="take at least"):
+            sample_singularity(n, 0.5, 1, seed=0)
+
     def test_json_provenance(self):
         est = sample_singularity(4, 0.5, 1000, seed=7, shards=2)
         data = cli.to_json(est)
@@ -143,7 +156,7 @@ class TestEstimateFields:
             steps.append(count)
             return sample_bits(seed, n, start, count, q)
         monkeypatch.setattr(mcsim, "_sample_bits", recording_sample_bits)
-        monkeypatch.setattr(singexact, "BATCH_BYTES", 7 * 64 + 63)
+        monkeypatch.setattr(mcsim, "BATCH_BYTES", 7 * 64 + 63)
         sliced = sample_singularity(5, 0.5, 1000, seed=3, shards=3)
         assert sliced == unsliced
         assert max(steps) == 7 and sum(steps) == 1000
