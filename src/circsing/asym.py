@@ -36,8 +36,6 @@ def approx_main(n: int, q) -> AsymptoticValue:
     exceeds FLOAT_SUM_LIMIT, which the formula tag records.  For prime n the
     value is the exact union probability.
     """
-    if n < 2:
-        raise ValueError("n must be at least 2")
     p = polycyc.smallest_prime(n)
     terms = n // p
     if isinstance(q, Fraction) and n <= EXACT_SUM_LIMIT:
@@ -67,8 +65,6 @@ def approx_closed(n: int, q) -> AsymptoticValue:
     Only meaningful for composite n (for prime n the dominant-divisor sum
     is already exact), so prime n is rejected.
     """
-    if n < 2:
-        raise ValueError("n must be at least 2")
     p = polycyc.smallest_prime(n)
     if p == n:
         raise ValueError("closed-form rate applies to composite n only")
@@ -122,11 +118,10 @@ def convergence_table(q, n_list, model: str = "binary",
     Exact values come from the union ladder ``singexact.exact_union`` and
     are absent when no exact strategy fits (the exhaustive union is capped
     at ``budget`` half-row scans, every value by the exponent budget, which
-    is checked before n is factored) or
-    when q is not rational; the ratio column is
-    exact/approx as a float, absent when either is absent.  When the
-    dominant-divisor sum underflows to 0.0, the ratio divides by that sum
-    as an exact Fraction instead.
+    the ladder checks before it factors n) or when q is not rational; the
+    ratio column is exact/approx as a float, absent when either is absent.
+    When the dominant-divisor sum underflows to 0.0, the ratio divides by
+    that sum as an exact Fraction instead.
     """
     singexact._check_model(model)
     rows = []
@@ -137,8 +132,6 @@ def convergence_table(q, n_list, model: str = "binary",
         exact = None
         if isinstance(q, Fraction):
             with contextlib.suppress(BudgetExceededError):
-                # the exponent first: the union ladder factors n
-                binomstats.check_exponent(n, q, f"table row n={n} needs exponent {n}")
                 exact = singexact.exact_union(n, q, model, budget)[0]
         if exact is None:
             ratio = None

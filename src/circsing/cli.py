@@ -24,7 +24,7 @@ import os
 import sys
 from fractions import Fraction
 
-from . import asym, binomstats, mcsim, polycyc, singexact, verify
+from . import asym, mcsim, singexact, verify
 from .errors import BudgetExceededError
 
 DEFAULT_SAMPLES_CAP = 100_000_000
@@ -116,12 +116,8 @@ def _cmd_divisor(args, q):
 
 
 def _cmd_bounds(args, q):
-    ds = [args.d]
-    if args.d is None:  # refuse the exponent before n is factored
-        binomstats.check_exponent(args.n, q,
-                                  f"bounds for n={args.n} need exponent {args.n}")
-        ds = [d for d in polycyc.divisors(args.n) if d >= 2]
-    bounds = {d: singexact.prob_bounds(d, args.n, q) for d in ds}
+    bounds = (singexact.divisor_bounds(args.n, q) if args.d is None
+              else {args.d: singexact.prob_bounds(args.d, args.n, q)})
     return {"n": args.n, "q": to_json(q), "bounds": bounds_json(bounds)}
 
 
@@ -178,15 +174,15 @@ def _cmd_mc(args, q):
     return payload
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[str, int]:
     checks = [check() for check in verify.SUITES[args.suite]]
     failures = [(name, detail) for name, ok, detail in checks if not ok]
     for name, detail in failures:
         print(f"{args.suite}: FAIL {name}" + (f" ({detail})" if detail else ""),
               file=sys.stderr)
     status = "FAIL" if failures else "PASS"
-    print(f"{args.suite}: {status} ({len(checks) - len(failures)}/{len(checks)} checks)")
-    return 1 if failures else 0
+    return (f"{args.suite}: {status} ({len(checks) - len(failures)}/{len(checks)} "
+            "checks)\n", 1 if failures else 0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -262,6 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a self-check suite")
     p.add_argument("--suite", choices=sorted(verify.SUITES), required=True)
+    p.set_defaults(output=None)  # it writes to stdout
 
     return parser
 
@@ -274,20 +271,21 @@ def run(argv: list[str]) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
         return int(exc.code or 0)
-    out = sys.stdout  # looked up at call time
+    out, code = sys.stdout, 0  # stdout looked up at call time
     try:
-        if args.command == "verify":
-            return _cmd_verify(args)
-        q = parse_q(args.q)
-        if args.command in ("exact", "divisor", "bounds", "table"):
-            q = require_rational(q, args.command)
-        if args.output not in (None, "-"):  # opened, so emptied, before the work
-            try:
-                out = open(args.output, "w", encoding="utf-8", newline="")
-            except OSError as exc:  # say, a missing directory: a usage error
-                raise ValueError(
-                    f"cannot write {args.output}: {exc.strerror or exc}") from None
-        result = args.func(args, q)
+        if args.command == "verify":  # no q, no --output; a failed check exits 1
+            result, code = _cmd_verify(args)
+        else:
+            q = parse_q(args.q)
+            if args.command in ("exact", "divisor", "bounds", "table"):
+                q = require_rational(q, args.command)
+            if args.output not in (None, "-"):  # opened, so emptied, before the work
+                try:
+                    out = open(args.output, "w", encoding="utf-8", newline="")
+                except OSError as exc:  # say, a missing directory: a usage error
+                    raise ValueError(
+                        f"cannot write {args.output}: {exc.strerror or exc}") from None
+            result = args.func(args, q)
         try:  # the flush reports a full disk or a closed pipe: a resource error
             out.write(result if isinstance(result, str)
                       else json.dumps(result, indent=2) + "\n")
@@ -306,7 +304,7 @@ def run(argv: list[str]) -> int:
         if out is not sys.stdout:  # flushed or failed: a close error adds nothing
             with contextlib.suppress(OSError):
                 out.close()
-    return 0
+    return code
 
 
 def main() -> None:

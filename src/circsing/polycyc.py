@@ -86,18 +86,16 @@ class IntPolynomial:
 
 
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization of n >= 1 by trial division."""
+    """Prime factorization of n >= 1, primes ascending, by peeling off
+    ``smallest_prime`` factors: a prime cofactor below ``_MR_EXACT`` is
+    found by Miller-Rabin, not by trial division up to its square root."""
     if n < 1:
         raise ValueError("n must be positive")
     out: dict[int, int] = {}
-    p = 2
-    while p * p <= n:
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-        p += 1 if p == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
+    while n > 1:
+        p = smallest_prime(n)
+        out[p] = out.get(p, 0) + 1
+        n //= p
     return out
 
 

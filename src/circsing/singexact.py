@@ -212,6 +212,13 @@ def prob_bounds(d: int, n: int, q: Fraction) -> tuple[Fraction | None, Fraction]
     return lower, upper
 
 
+def divisor_bounds(n: int, q: Fraction) -> dict[int, tuple[Fraction | None, Fraction]]:
+    """``prob_bounds`` for every divisor d >= 2 of n, keyed by d ascending.
+    Each has exponent n, which is refused before n is factored."""
+    binomstats.check_exponent(n, q, f"bounds for n={n} need exponent {n}")
+    return {d: prob_bounds(d, n, q) for d in polycyc.divisors(n) if d >= 2}
+
+
 def prob_union_closed_form(n: int, q: Fraction) -> Fraction | None:
     """Exact binary union probability for n in {p, p^2, p*r}; else None.
 
@@ -498,9 +505,14 @@ def exact_union(n: int, q: Fraction, model: str = "binary",
                 budget: int = BRUTEFORCE_BUDGET) -> tuple[Fraction | None, str]:
     """Exact union and provenance: the closed form if the d = 1 event adds
     no row to the d >= 2 union, else the weight counts if their half-row
-    scans are within ``budget``, else None with ``absent-over-budget``."""
+    scans are within ``budget``, else None with ``absent-over-budget``.
+    Every rung has exponent n, so past the exponent budget the answer is
+    absent before any rung factors n."""
     d1 = _d1_weight(n, model)
-    binomstats._check_exact_q(q)
+    try:
+        binomstats.check_exponent(n, q, f"exact union for n={n} needs exponent {n}")
+    except BudgetExceededError:
+        return None, "absent-over-budget"
     if d1 in (0, None):
         value = prob_union_closed_form(n, q)
         if value is not None:
@@ -529,7 +541,6 @@ def report(n: int, q: Fraction, model: str = "binary", *,
             per.append(divisor_probability(d, n, q, model, enum_budget))
         except BudgetExceededError as exc:
             omitted.append((d, str(exc)))
-    bounds = {d: prob_bounds(d, n, q) for d in polycyc.divisors(n) if d >= 2}
     return ProbabilityReport(n=n, q=q, model=model, exact_union=union,
-                             per_divisor=tuple(per), bounds=bounds,
+                             per_divisor=tuple(per), bounds=divisor_bounds(n, q),
                              provenance=provenance, omitted=tuple(omitted))

@@ -68,10 +68,7 @@ def check_divisor_bounds() -> Check:
     detail = ""
     for q in (HALF, THIRD):
         for n in range(2, 31):
-            for d in polycyc.divisors(n):
-                if d == 1:
-                    continue
-                lower, upper = singexact.prob_bounds(d, n, q)
+            for d, (lower, upper) in singexact.divisor_bounds(n, q).items():
                 value = singexact.prob_divisor_general(d, n, q)
                 if value > upper or (lower is not None and value < lower):
                     ok = False

@@ -345,6 +345,21 @@ def full_weight_counts(n: int, model: str = "binary") -> tuple[int, ...]:
     return tuple(int(c) for c in counts)
 
 
+def factorize_by_trial_division(n: int) -> dict[int, int]:
+    """Prime factorization of n >= 1, primes ascending, by trial division
+    with every integer from 2 up to the root of what is left."""
+    out: dict[int, int] = {}
+    p = 2
+    while p * p <= n:
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+        p += 1
+    if n > 1:
+        out[n] = 1
+    return out
+
+
 def max_pdf_by_scan(n: int, q: Fraction) -> tuple[int, Fraction]:
     """Argmax (lowest index) and value of the binomial mass by direct scan."""
     best_k, best = 0, pdf(0, n, q)

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import errno
 import io
@@ -9,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from circsing import asym, binomstats, cli, singexact
+from circsing import asym, binomstats, cli, singexact, verify
 
 import oracles
 
@@ -551,6 +552,28 @@ def test_json_key_order(capsys):
 
 
 class TestVerifyCommand:
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_full_disk_is_resource_error(self, capsys, monkeypatch):
+        # the summary goes through run's write path: one line, exit 3
+        full = open("/dev/full", "w", encoding="utf-8")
+        monkeypatch.setattr(sys, "stdout", full)
+        try:
+            code = cli.run(["verify", "--suite", "bounds"])
+        finally:
+            with contextlib.suppress(OSError):  # the unwritten summary
+                full.close()
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err == f"error: cannot write stdout: {os.strerror(errno.ENOSPC)}\n"
+
+    def test_failing_suite(self, capsys, monkeypatch):
+        monkeypatch.setitem(verify.SUITES, "bounds", [
+            lambda: ("a", True, ""), lambda: ("b", False, "why"),
+            lambda: ("c", False, "")])
+        assert run_capture(capsys, ["verify", "--suite", "bounds"]) == (
+            1, "bounds: FAIL (1/3 checks)\n",
+            "bounds: FAIL b (why)\nbounds: FAIL c\n")
+
     def test_algebra_suite_passes(self, capsys):
         code, out, err = run_capture(capsys, ["verify", "--suite", "algebra"])
         assert code == 0

@@ -87,6 +87,23 @@ class TestNumberTheory:
         assert polycyc.factorize(1) == {}
         assert polycyc.factorize(360) == {2: 3, 3: 2, 5: 1}
 
+    def test_factorize_matches_trial_division(self):
+        # the primes, and their order, of the oracle's loop
+        for n in range(1, 10**4):
+            want = oracles.factorize_by_trial_division(n)
+            assert list(polycyc.factorize(n).items()) == list(want.items()), n
+
+    @pytest.mark.parametrize("n, want", [
+        (20000000000000122, [(2, 1), (10**16 + 61, 1)]),
+        (999983 * 1000003, [(999983, 1), (1000003, 1)]),
+    ])
+    def test_factorize_large_prime_cofactor(self, n, want):
+        # trial division to the root of the cofactor 10^16 + 61 took 6 s;
+        # Miller-Rabin recognizes it as prime
+        start = time.perf_counter()
+        assert list(polycyc.factorize(n).items()) == want
+        assert time.perf_counter() - start < 1
+
     @pytest.mark.parametrize("n", range(1, 200))
     def test_totient_sum(self, n):
         assert sum(polycyc.totient(d) for d in polycyc.divisors(n)) == n

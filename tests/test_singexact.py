@@ -12,7 +12,8 @@ import pytest
 from circsing import asym, binomstats, cli, mcsim, polycyc, singexact
 from circsing.errors import BudgetExceededError
 from circsing.polycyc import FirstRow, cyclotomic, singular_divisors
-from circsing.singexact import (divisor_probability, exact_union, hnf_basis,
+from circsing.singexact import (divisor_bounds, divisor_probability,
+                                exact_union, hnf_basis,
                                 prob_bounds, prob_divisor_general,
                                 prob_union_bruteforce, prob_union_closed_form,
                                 report, singular_mask)
@@ -630,6 +631,20 @@ class TestHalfEnumeration:
         assert got == (None, "absent-over-budget")
         assert peak < 1 << 20
 
+    def test_row_budget_refusal_within_a_raised_exponent_budget(self, monkeypatch):
+        # n = 2^27 past the exponent budget is refused before the row
+        # budget is read; with that budget raised, the row budget refuses
+        # it, still without forming the row count
+        monkeypatch.setattr(binomstats, "POWER_SUM_BUDGET", 1 << 28)
+        tracemalloc.start()
+        try:
+            got = exact_union(1 << 27, HALF)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == (None, "absent-over-budget")
+        assert peak < 1 << 20
+
     def test_row_budget_refusal_past_the_digit_limit(self):
         # 30000 = 2^4 * 3 * 5^4 has 50 divisors; 2^15050 has 4531 digits
         with pytest.raises(BudgetExceededError,
@@ -939,6 +954,23 @@ class TestReport:
             exact_union(4, 0.5)
 
     @pytest.mark.parametrize("model", ["binary", "signed"])
+    @pytest.mark.parametrize("n", oracles.HUGE_N)
+    def test_exact_union_refuses_exponent_before_factoring(self, factor_limit,
+                                                           model, n):
+        # 2 * (10^16 + 61) has the closed form's shape, whose rung factors n
+        factor_limit(binomstats.POWER_SUM_BUDGET)
+        start = time.perf_counter()
+        assert exact_union(n, HALF, model) == (None, "absent-over-budget")
+        assert time.perf_counter() - start < 1
+
+    @pytest.mark.parametrize("n", [1, 4, 12, 18, 25])
+    def test_bounds_list_every_divisor(self, n):
+        want = {d: prob_bounds(d, n, THIRD) for d in polycyc.divisors(n)[1:]}
+        assert divisor_bounds(n, THIRD) == want
+        assert list(divisor_bounds(n, THIRD)) == list(want)
+        assert report(n, THIRD).bounds == want
+
+    @pytest.mark.parametrize("model", ["binary", "signed"])
     @pytest.mark.parametrize("q", [HALF, THIRD])
     def test_smallest_n_come_from_the_ladder(self, model, q):
         # n = 1 and signed n = 2 have no rung of their own: the weight
@@ -1094,6 +1126,7 @@ EXPONENT_SITES = {
     "power_sum_exact": lambda n, q: binomstats.power_sum_exact(n, 1, q),
     "prob_divisor_general": lambda n, q: prob_divisor_general(2, n, q),
     "prob_bounds": lambda n, q: prob_bounds(2, n, q),
+    "divisor_bounds": lambda n, q: divisor_bounds(n, q),
     "prob_union_closed_form": lambda n, q: prob_union_closed_form(n, q),
     "report": lambda n, q: report(n, q),
 }
@@ -1102,12 +1135,14 @@ EXPONENT_CASES = [
     (Fraction(1, 4), "power_sum_exact", 20, 21),
     (Fraction(1, 4), "prob_divisor_general", 20, 22),
     (Fraction(1, 4), "prob_bounds", 20, 22),
+    (Fraction(1, 4), "divisor_bounds", 20, 21),
     (Fraction(1, 4), "prob_union_closed_form", 19, 21),
     (Fraction(1, 4), "report", 19, 21),
     (Fraction(1, 1024), "binom_pdf_exact", 4, 5),
     (Fraction(1, 1024), "power_sum_exact", 4, 5),
     (Fraction(1, 1024), "prob_divisor_general", 4, 6),
     (Fraction(1, 1024), "prob_bounds", 4, 6),
+    (Fraction(1, 1024), "divisor_bounds", 4, 5),
     (Fraction(1, 1024), "prob_union_closed_form", 4, 5),
     (Fraction(1, 1024), "report", 4, 5),
 ]
