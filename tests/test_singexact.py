@@ -1135,16 +1135,16 @@ EXPONENT_CASES = [
     (Fraction(1, 4), "power_sum_exact", 20, 21),
     (Fraction(1, 4), "prob_divisor_general", 20, 22),
     (Fraction(1, 4), "prob_bounds", 20, 22),
-    (Fraction(1, 4), "divisor_bounds", 20, 21),
     (Fraction(1, 4), "prob_union_closed_form", 19, 21),
     (Fraction(1, 4), "report", 19, 21),
     (Fraction(1, 1024), "binom_pdf_exact", 4, 5),
     (Fraction(1, 1024), "power_sum_exact", 4, 5),
     (Fraction(1, 1024), "prob_divisor_general", 4, 6),
     (Fraction(1, 1024), "prob_bounds", 4, 6),
-    (Fraction(1, 1024), "divisor_bounds", 4, 5),
     (Fraction(1, 1024), "prob_union_closed_form", 4, 5),
     (Fraction(1, 1024), "report", 4, 5),
+    (Fraction(1, 4), "divisor_bounds", 20, 21),
+    (Fraction(1, 1024), "divisor_bounds", 4, 5),
 ]
 
 
