@@ -115,24 +115,22 @@ def convergence_table(q, n_list, model: str = "binary",
                       ) -> list[ConvergenceRow]:
     """Exact-vs-approximation rows, sorted by n.
 
-    Exact values come from the union ladder ``singexact.exact_union`` and
-    are absent when no exact strategy fits (the exhaustive union is capped
-    at ``budget`` half-row scans, every value by the exponent budget, which
-    the ladder checks before it factors n) or when q is not rational; the
-    ratio column is exact/approx as a float, absent when either is absent.
-    When the dominant-divisor sum underflows to 0.0, the ratio divides by
-    that sum as an exact Fraction instead.
+    Exact values are absent when q is not rational or when the union
+    ladder ``singexact.exact_union`` answers absent, which it does, never
+    raising a budget error, where no exact strategy fits (the exhaustive
+    union is capped at ``budget`` half-row scans and n = 53, every value
+    by the exponent budget); the ratio column is exact/approx as a float,
+    absent when either is absent.  When the dominant-divisor sum underflows
+    to 0.0, the ratio divides by that sum as an exact Fraction instead.
+    The approximation refuses an n below 2 at the first row.
     """
     singexact._check_model(model)
     rows = []
     for n in sorted(n_list):
-        if n < 2:
-            raise ValueError("table rows need n >= 2")
         av = approx_signed(n, q) if model == "signed" else approx_main(n, q)
         exact = None
         if isinstance(q, Fraction):
-            with contextlib.suppress(BudgetExceededError):
-                exact = singexact.exact_union(n, q, model, budget)[0]
+            exact = singexact.exact_union(n, q, model, budget)[0]
         if exact is None:
             ratio = None
         elif av.value == 0.0 and av.formula == "main-theorem":

@@ -3,7 +3,7 @@
 Subcommands: exact, divisor, bounds, asym, table, mc, verify.  Machine
 output goes to stdout (JSON, or CSV for tables); diagnostics go to stderr.
 Exit codes: 0 success, 1 verify-suite failure, 2 usage error, 3 budget or
-resource error.
+resource error (out of memory, or a failed write).
 
 Each exact budget is an option only on the commands that spend it:
 --enum-budget (candidates the CRT convolution visits per divisor) on exact
@@ -294,8 +294,8 @@ def run(argv: list[str]) -> int:
             print(f"error: cannot write {args.output or 'stdout'}: "
                   f"{exc.strerror or exc}", file=sys.stderr)
             return 3
-    except BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (BudgetExceededError, MemoryError) as exc:  # a resource error
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -507,18 +507,19 @@ def exact_union(n: int, q: Fraction, model: str = "binary",
     no row to the d >= 2 union, else the weight counts if their half-row
     scans are within ``budget``, else None with ``absent-over-budget``.
     Every rung has exponent n, so past the exponent budget the answer is
-    absent before any rung factors n."""
+    absent before any rung factors n.  Any other rung's refusal (the counts
+    stop at n = 53) answers absent too: no budget error for a well-formed n."""
     d1 = _d1_weight(n, model)
     try:
         binomstats.check_exponent(n, q, f"exact union for n={n} needs exponent {n}")
+        if d1 in (0, None):
+            value = prob_union_closed_form(n, q)
+            if value is not None:
+                return value, "closed-form"
+        if _join_fits(n, budget):
+            return prob_union_bruteforce(n, q, model, budget), "brute-force"
     except BudgetExceededError:
-        return None, "absent-over-budget"
-    if d1 in (0, None):
-        value = prob_union_closed_form(n, q)
-        if value is not None:
-            return value, "closed-form"
-    if _join_fits(n, budget):
-        return prob_union_bruteforce(n, q, model, budget), "brute-force"
+        pass
     return None, "absent-over-budget"
 
 

@@ -169,6 +169,14 @@ class TestConvergenceTable:
             convergence_table(HALF, [1, 4])
 
     @pytest.mark.parametrize("model", ["binary", "signed"])
+    def test_rejects_n_below_two_before_exact_work(self, monkeypatch, model):
+        def no_union(*args):
+            raise AssertionError("exact union ran before n was checked")
+        monkeypatch.setattr(singexact, "exact_union", no_union)
+        with pytest.raises(ValueError, match="n must be at least 2"):
+            convergence_table(HALF, [4, 1], model)
+
+    @pytest.mark.parametrize("model", ["binary", "signed"])
     def test_exponent_refused_before_n_is_factored(self, factor_limit, model):
         factor_limit(binomstats.POWER_SUM_BUDGET)
         rows = convergence_table(HALF, oracles.HUGE_N, model)

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import subprocess
 import sys
 from fractions import Fraction
 
@@ -476,6 +477,62 @@ class TestBudgetsAndErrors:
         assert code == 0 and out.splitlines()[1].split(",")[1] == "47"
         code, out, _ = run_capture(capsys, argv + ["--brute-budget", "4095"])
         assert code == 0 and out.splitlines()[1].split(",")[1] == ""
+
+    @pytest.mark.parametrize("model", [[], ["--signed"]])
+    def test_union_past_float64_absent_at_raised_budget(self, capsys, model):
+        # n = 54 = 2 * 3^3 spends 2^8 * 2^27 = 2^35 half-row scans, within
+        # this budget, but its counts pass float64: absent, not exit 3
+        raised = ["--q", "1/2", "--brute-budget", "34359738368", *model]
+        code, out, err = run_capture(capsys, ["exact", "--n", "54", *raised])
+        assert (code, err) == (0, "")
+        data = json.loads(out)
+        assert (data["exact_union"], data["provenance"]) == \
+            (None, "absent-over-budget")
+        code, out, err = run_capture(capsys, ["table", "--n-range", "54:54", *raised])
+        assert (code, err) == (0, "")
+        (row,) = table_from_csv(out)
+        assert row.n == 54 and row.exact is None and row.ratio is None
+
+    @pytest.mark.parametrize("exc, line", [
+        (MemoryError(), "error: out of memory\n"),
+        (MemoryError("Unable to allocate 288. MiB"),
+         "error: Unable to allocate 288. MiB\n"),
+    ])
+    def test_memory_error_is_resource_error(self, tmp_path, capsys,
+                                            monkeypatch, exc, line):
+        def no_memory(*args):
+            raise exc
+        monkeypatch.setattr(asym, "convergence_table", no_memory)
+        path = tmp_path / "table.csv"
+        path.write_text("old")
+        code, out, err = run_capture(
+            capsys, ["table", "--n-range", "2:4", "--q", "1/2", "--output", str(path)])
+        assert (code, out, err) == (3, "", line)
+        assert path.read_text() == ""
+
+    @pytest.mark.skipif(sys.platform == "win32", reason="needs RLIMIT_AS")
+    def test_out_of_memory_is_resource_error(self, tmp_path):
+        # a child that holds its own address space to 2 GB: the 10^10 rows
+        # of the range cannot be listed, which is one line and exit 3
+        child = (
+            "import resource, sys\n"
+            "soft, hard = 2_000_000 << 10, resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+            "if hard != resource.RLIM_INFINITY:\n"
+            "    soft = min(soft, hard)\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (soft, hard))\n"
+            "from circsing import cli\n"
+            "sys.exit(cli.run(sys.argv[1:]))\n")
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        path = tmp_path / "table.csv"
+        proc = subprocess.run(
+            [sys.executable, "-c", child, "table", "--n-range", "2:10000000000",
+             "--q", "1/2", "--output", str(path)],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert (proc.returncode, proc.stdout, proc.stderr) == \
+            (3, "", "error: out of memory\n")
+        assert path.read_text() == ""
 
     def test_union_frontier_at_default_budget(self, capsys):
         # 2^tau(n) * 2^ceil(n/2) half-row scans: 2^20, 2^23 and 2^22 fit

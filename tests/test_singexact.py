@@ -598,6 +598,26 @@ class TestHalfEnumeration:
         assert (err.value.required, err.value.budget) == (54, 53)
         assert peak < 1 << 20
 
+    @pytest.mark.parametrize("model", ["binary", "signed"])
+    def test_union_past_float64_is_absent_at_any_budget(self, model):
+        # n = 54..70 pass a 2^80 scan budget, but the counts stop at
+        # n = 53: the ladder answers its closed form or absent, never a
+        # refusal, and builds no table on the way
+        for n in range(54, 71):
+            d1 = singexact._d1_weight(n, model)
+            want = prob_union_closed_form(n, HALF) if d1 in (0, None) else None
+            tracemalloc.start()
+            try:
+                got = exact_union(n, HALF, model, 1 << 80)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert got == ((None, "absent-over-budget") if want is None
+                           else (want, "closed-form")), (n, model)
+            assert peak < 1 << 20, (n, model)
+        rep = report(54, HALF, model, brute_budget=1 << 35)
+        assert (rep.exact_union, rep.provenance) == (None, "absent-over-budget")
+
     def test_signed_weight_half_term(self):
         # every signed row of weight n/2 is singular (the d = 1 event); at
         # every other weight the models share the d >= 2 events, the zero
