@@ -29,6 +29,9 @@ from .errors import BudgetExceededError
 
 DEFAULT_SAMPLES_CAP = 100_000_000
 
+#: Rows one table may list; checked from the range's length before listing.
+TABLE_ROWS_CAP = 100_000
+
 
 def parse_q(text: str):
     """'a/b' parses as an exact rational; a decimal stays a float."""
@@ -53,7 +56,8 @@ def require_rational(q, command: str) -> Fraction:
 
 
 def parse_n_range(text: str) -> list[int]:
-    """A:B[:step], inclusive of B when (B - A) is divisible by step."""
+    """A:B[:step], inclusive of B when (B - A) is divisible by step; more
+    than TABLE_ROWS_CAP rows are refused before any is listed."""
     parts = text.split(":")
     if len(parts) not in (2, 3):
         raise ValueError(f"expected A:B[:step], got {text!r}")
@@ -64,6 +68,11 @@ def parse_n_range(text: str) -> list[int]:
         raise ValueError(f"expected integers in range {text!r}") from None
     if step < 1 or b < a:
         raise ValueError(f"range {text!r} must be increasing with positive step")
+    rows = (b - a) // step + 1  # len(range(...)) overflows past 2^63
+    if rows > TABLE_ROWS_CAP:
+        raise BudgetExceededError(
+            f"range {text!r} has {rows} rows, past the cap {TABLE_ROWS_CAP}",
+            required=rows, budget=TABLE_ROWS_CAP)
     return list(range(a, b + 1, step))
 
 

@@ -9,11 +9,20 @@ raw 64-bit output x, so no float uniforms are formed.  Because
 the layout depends only on (seed, n, sample index), the singular count is
 bit-identical for every shard count, and any shard can be generated
 independently from (seed, shard range) without coordination.
+
+Rows are drawn in slices on worker threads, one per CPU in the process's
+affinity mask (Philox releases the interpreter lock while it fills a
+buffer), and the calling thread tests the finished slices in order.  A
+slice's rows depend only on (seed, start, count), and the count is an
+integer sum over them, so it does not depend on the number of workers.
 """
 from __future__ import annotations
 
 import dataclasses
 import math
+import os
+from collections import deque
+from itertools import accumulate, islice
 
 import numpy as np
 
@@ -21,11 +30,13 @@ from . import binomstats, singexact
 
 GENERATOR = "philox-4x64-10"
 
-#: Byte bound on the raw Philox bytes of one slice.  4 MiB, not 16: after a
-#: 16 MiB batch is freed, glibc's dynamic mmap threshold rises past it,
-#: later batches come from the heap, and the heap keeps them, which added a
-#: batch to peak RSS in some memory layouts.
-BATCH_BYTES = 1 << 22
+#: Byte bound on the raw Philox bytes of one slice.  1 MiB: each worker
+#: thread draws one slice at a time, so up to four workers hold no more raw
+#: bytes than the single 4 MiB slice that was drawn before workers; each
+#: CPU past four adds 1 MiB.  (A 16 MiB slice, once freed, raised glibc's
+#: dynamic mmap threshold past it, and later slices came from a heap that
+#: kept them.)
+BATCH_BYTES = 1 << 20
 
 
 @dataclasses.dataclass(frozen=True)
@@ -62,6 +73,14 @@ def shard_sizes(samples: int, shards: int) -> list[int]:
     return [base + (1 if s < extra else 0) for s in range(shards)]
 
 
+def _cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def sample_singularity(n: int, q, samples: int, seed: int,
                        model: str = "binary", shards: int = 1) -> EstimateWithCI:
     """Estimate the singularity probability from `samples` i.i.d. rows.
@@ -69,7 +88,8 @@ def sample_singularity(n: int, q, samples: int, seed: int,
     Every sampled row is tested exactly by ``singexact.singular_mask``, one
     float32 product that decides every divisor, equivalent to
     ``polycyc.singular_divisors``.  Fixed
-    (seed, samples) give a bit-identical count for any shard split.
+    (seed, samples) give a bit-identical count for any shard split and any
+    number of worker threads; the mask runs on the calling thread.
     """
     singexact._check_model(model, n)
     if samples < 1:
@@ -84,16 +104,30 @@ def sample_singularity(n: int, q, samples: int, seed: int,
     singexact._columns(n)  # built, or refused, before any row is drawn
 
     # Each slice draws at most BATCH_BYTES raw Philox bytes (one row takes
-    # 32 * ceil(n/4)).
+    # 32 * ceil(n/4)); slices are listed lazily, as the sample count is
+    # unbounded.
     rows = max(1, BATCH_BYTES // (32 * -(-n // 4)))
+    sizes = shard_sizes(samples, shards)
+    slices = ((start + offset, min(rows, size - offset))
+              for start, size in zip(accumulate(sizes, initial=0), sizes)
+              for offset in range(0, size, rows))
+    workers = min(_cpus(), sum(-(-size // rows) for size in sizes))
+    # imported on first use: it adds about 3 ms and 0.3 MB to every command
+    from concurrent.futures import ThreadPoolExecutor
     count = 0
-    start = 0
-    for size in shard_sizes(samples, shards):
-        for offset in range(0, size, rows):
-            step = min(rows, size - offset)
-            bits = _sample_bits(seed, n, start + offset, step, qf)
+    pool = ThreadPoolExecutor(workers, thread_name_prefix="circsing-mc")
+    try:
+        # workers draw the next slices while this thread tests the oldest,
+        # so at most workers + 1 slices are in flight
+        pending = deque(pool.submit(_sample_bits, seed, n, start, step, qf)
+                        for start, step in islice(slices, workers))
+        while pending:
+            bits = pending.popleft().result()
+            pending.extend(pool.submit(_sample_bits, seed, n, start, step, qf)
+                           for start, step in islice(slices, 1))
             count += int(singexact.singular_mask(bits, model).sum())
-        start += size
+    finally:  # on any error, drop the slices not yet started, then join
+        pool.shutdown(cancel_futures=True)
 
     p_hat = count / samples
     stderr = math.sqrt(p_hat * (1 - p_hat) / samples)

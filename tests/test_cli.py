@@ -7,11 +7,14 @@ import math
 import os
 import subprocess
 import sys
+import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from circsing import asym, binomstats, cli, singexact, verify
+from circsing.errors import BudgetExceededError
 
 import oracles
 
@@ -493,6 +496,36 @@ class TestBudgetsAndErrors:
         (row,) = table_from_csv(out)
         assert row.n == 54 and row.exact is None and row.ratio is None
 
+    @pytest.mark.parametrize("n_range, rows", [
+        ("2:10000000000", 9_999_999_999), ("2:10000000000:3", 3_333_333_333),
+        ("1:" + "9" * 40, 10 ** 40 - 1)])
+    def test_table_rows_past_cap_refused_before_listing(self, tmp_path, capsys,
+                                                        n_range, rows):
+        path = tmp_path / "table.csv"
+        tracemalloc.start()
+        try:
+            began = time.perf_counter()
+            code, out, err = run_capture(
+                capsys, ["table", "--n-range", n_range, "--q", "1/2",
+                         "--output", str(path)])
+            elapsed = time.perf_counter() - began
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (3, "")
+        assert err == (f"error: range {n_range!r} has {rows} rows, past the "
+                       f"cap {cli.TABLE_ROWS_CAP}\n")
+        assert path.read_text() == ""
+        assert elapsed < 1 and peak < 1 << 20
+
+    def test_table_rows_cap_counts_rows(self, monkeypatch):
+        monkeypatch.setattr(cli, "TABLE_ROWS_CAP", 3)
+        assert cli.parse_n_range("2:4") == [2, 3, 4]
+        assert cli.parse_n_range("2:9:3") == [2, 5, 8]
+        with pytest.raises(BudgetExceededError) as info:
+            cli.parse_n_range("2:5")
+        assert (info.value.required, info.value.budget) == (4, 3)
+
     @pytest.mark.parametrize("exc, line", [
         (MemoryError(), "error: out of memory\n"),
         (MemoryError("Unable to allocate 288. MiB"),
@@ -512,8 +545,9 @@ class TestBudgetsAndErrors:
 
     @pytest.mark.skipif(sys.platform == "win32", reason="needs RLIMIT_AS")
     def test_out_of_memory_is_resource_error(self, tmp_path):
-        # a child that holds its own address space to 2 GB: the 10^10 rows
-        # of the range cannot be listed, which is one line and exit 3
+        # a child that holds its own address space to 2 GB and lifts the
+        # row cap: the 10^10 rows of the range cannot be listed, which is
+        # one line and exit 3
         child = (
             "import resource, sys\n"
             "soft, hard = 2_000_000 << 10, resource.getrlimit(resource.RLIMIT_AS)[1]\n"
@@ -521,6 +555,7 @@ class TestBudgetsAndErrors:
             "    soft = min(soft, hard)\n"
             "resource.setrlimit(resource.RLIMIT_AS, (soft, hard))\n"
             "from circsing import cli\n"
+            "cli.TABLE_ROWS_CAP = 10 ** 11\n"
             "sys.exit(cli.run(sys.argv[1:]))\n")
         src = os.path.dirname(os.path.dirname(cli.__file__))
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(

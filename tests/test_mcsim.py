@@ -1,4 +1,8 @@
 import math
+import os
+import threading
+import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -160,3 +164,110 @@ class TestEstimateFields:
         sliced = sample_singularity(5, 0.5, 1000, seed=3, shards=3)
         assert sliced == unsliced
         assert max(steps) == 7 and sum(steps) == 1000
+
+
+# 7 rows of n = 5 (two Philox blocks of 32 bytes each) per slice, as in
+# test_slicing_inside_shard_matches_layout
+SMALL_BATCH = 7 * 64 + 63
+
+
+class TestWorkerThreads:
+    @pytest.mark.parametrize("batch_bytes, samples",
+                             [(mcsim.BATCH_BYTES, 40_000), (SMALL_BATCH, 2000)])
+    @pytest.mark.parametrize("shards", [1, 3, 16])
+    @pytest.mark.parametrize("model", ["binary", "signed"])
+    @pytest.mark.parametrize("n", [4, 6, 60, 127])
+    def test_count_independent_of_workers(self, monkeypatch, n, model, shards,
+                                          batch_bytes, samples):
+        monkeypatch.setattr(mcsim, "BATCH_BYTES", batch_bytes)
+        bits = mcsim._sample_bits(seed=5, n=n, start=0, count=samples, q=0.3)
+        want = int(singexact.singular_mask(bits, model).sum())
+        default = sample_singularity(n, 0.3, samples, seed=5, model=model,
+                                     shards=shards)
+        drawers = set()
+        sample_bits = mcsim._sample_bits
+
+        def recording_sample_bits(*args):
+            drawers.add(threading.get_ident())
+            return sample_bits(*args)
+        monkeypatch.setattr(mcsim, "_sample_bits", recording_sample_bits)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        one_worker = sample_singularity(n, 0.3, samples, seed=5, model=model,
+                                        shards=shards)
+        assert len(drawers) == 1
+        assert default == one_worker and default.singular_count == want
+
+    def test_mask_on_calling_thread(self, monkeypatch):
+        # the mask runs where sample_singularity was called; rows are drawn
+        # off it.  Three workers, more than a 2-core machine has CPUs.
+        monkeypatch.setattr(mcsim, "BATCH_BYTES", SMALL_BATCH)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                            raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        lock = threading.Lock()
+        masked, drawn, in_flight = [], [], []
+        sample_bits, singular_mask = mcsim._sample_bits, singexact.singular_mask
+
+        def recording_sample_bits(*args):
+            with lock:
+                drawn.append(threading.get_ident())
+                in_flight.append(len(drawn) - len(masked))
+            return sample_bits(*args)
+
+        def recording_mask(bits, model):
+            result = singular_mask(bits, model)
+            with lock:
+                masked.append(threading.get_ident())
+            return result
+        monkeypatch.setattr(mcsim, "_sample_bits", recording_sample_bits)
+        monkeypatch.setattr(singexact, "singular_mask", recording_mask)
+        est = sample_singularity(5, 0.5, 1000, seed=3, shards=3)
+        me = threading.get_ident()
+        assert len(masked) == len(drawn) == 3 * 48  # ceil(334 / 7) = 48 each
+        assert set(masked) == {me} and me not in drawn
+        assert max(in_flight) <= 3 + 1
+        assert est.singular_count == int(singular_mask(
+            mcsim._sample_bits(3, 5, 0, 1000, 0.5), "binary").sum())
+
+    def test_memory_error_cancels_and_joins(self, monkeypatch, capsys):
+        baseline = threading.active_count()
+        monkeypatch.setattr(mcsim, "BATCH_BYTES", SMALL_BATCH)
+        lock = threading.Lock()
+        calls = []
+        sample_bits = mcsim._sample_bits
+
+        def failing_sample_bits(*args):
+            with lock:
+                calls.append(args)
+                if len(calls) == 3:
+                    raise MemoryError
+            return sample_bits(*args)
+        monkeypatch.setattr(mcsim, "_sample_bits", failing_sample_bits)
+        with pytest.raises(MemoryError):
+            sample_singularity(5, 0.5, 1000, seed=3)
+        assert len(calls) < -(-1000 // 7)
+        assert threading.active_count() == baseline
+
+        calls.clear()
+        assert cli.run(["mc", "--n", "5", "--q", "1/2", "--samples", "1000",
+                        "--seed", "3"]) == 3
+        assert capsys.readouterr() == ("", "error: out of memory\n")
+        assert threading.active_count() == baseline
+
+    def test_slices_are_not_listed_up_front(self, monkeypatch):
+        # no sample cap in the library: 10^15 samples must not list their
+        # slices before the first is drawn
+        def no_memory(*args):
+            raise MemoryError
+        monkeypatch.setattr(mcsim, "_sample_bits", no_memory)
+        tracemalloc.start()
+        try:
+            began = time.perf_counter()
+            with pytest.raises(MemoryError):
+                sample_singularity(127, 0.5, 10 ** 15, seed=0)
+            elapsed = time.perf_counter() - began
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 1 and peak < 1 << 20
