@@ -6,15 +6,17 @@ the counter blocks [i * bps, (i+1) * bps) where bps = ceil(n/4), and each
 entry comes from a 53-bit uniform threshold comparison against q, made in
 integers: (x >> 11) * 2^-53 < q holds iff x < ceil(q * 2^53) * 2^11 for the
 raw 64-bit output x, so no float uniforms are formed.  Because
-the layout depends only on (seed, n, sample index), the singular count is
-bit-identical for every shard count, and any shard can be generated
-independently from (seed, shard range) without coordination.
+the layout depends only on (seed, n, sample index), any range of samples
+can be generated independently from (seed, start, count) without
+coordination.
 
-Rows are drawn in slices on worker threads, one per CPU in the process's
-affinity mask (Philox releases the interpreter lock while it fills a
-buffer), and the calling thread tests the finished slices in order.  A
-slice's rows depend only on (seed, start, count), and the count is an
-integer sum over them, so it does not depend on the number of workers.
+Rows are drawn in byte-bounded slices of the global range [0, samples) on
+worker threads, one per CPU in the process's affinity mask (Philox
+releases the interpreter lock while it fills a buffer), and the calling
+thread tests the finished slices in order.  The count is an integer sum
+over the rows, so it depends on neither the slicing nor the number of
+workers.  The shard count is recorded in the estimate; it changes neither
+the rows nor the slicing.
 """
 from __future__ import annotations
 
@@ -22,7 +24,7 @@ import dataclasses
 import math
 import os
 from collections import deque
-from itertools import accumulate, islice
+from itertools import islice
 
 import numpy as np
 
@@ -31,11 +33,9 @@ from . import binomstats, singexact
 GENERATOR = "philox-4x64-10"
 
 #: Byte bound on the raw Philox bytes of one slice.  1 MiB: each worker
-#: thread draws one slice at a time, so up to four workers hold no more raw
-#: bytes than the single 4 MiB slice that was drawn before workers; each
-#: CPU past four adds 1 MiB.  (A 16 MiB slice, once freed, raised glibc's
-#: dynamic mmap threshold past it, and later slices came from a heap that
-#: kept them.)
+#: thread draws one slice at a time, so raw bytes stay at 1 MiB per CPU.
+#: (A 16 MiB slice, once freed, raised glibc's dynamic mmap threshold past
+#: it, and later slices came from a heap that kept them.)
 BATCH_BYTES = 1 << 20
 
 
@@ -67,12 +67,6 @@ def _sample_bits(seed: int, n: int, start: int, count: int, q: float) -> np.ndar
     return (raw.reshape(count, bps * 4)[:, :n] < threshold).view(np.int8)
 
 
-def shard_sizes(samples: int, shards: int) -> list[int]:
-    """Fixed shard sizes: the remainder spreads over the leading shards."""
-    base, extra = divmod(samples, shards)
-    return [base + (1 if s < extra else 0) for s in range(shards)]
-
-
 def _cpus() -> int:
     """CPUs this process may run on."""
     try:
@@ -87,9 +81,10 @@ def sample_singularity(n: int, q, samples: int, seed: int,
 
     Every sampled row is tested exactly by ``singexact.singular_mask``, one
     float32 product that decides every divisor, equivalent to
-    ``polycyc.singular_divisors``.  Fixed
-    (seed, samples) give a bit-identical count for any shard split and any
-    number of worker threads; the mask runs on the calling thread.
+    ``polycyc.singular_divisors``.  Fixed (seed, samples) give a
+    bit-identical count for any number of worker threads; the mask runs on
+    the calling thread.  ``shards`` is validated and recorded, but the rows
+    and their slices do not depend on it.
     """
     singexact._check_model(model, n)
     if samples < 1:
@@ -104,14 +99,11 @@ def sample_singularity(n: int, q, samples: int, seed: int,
     singexact._columns(n)  # built, or refused, before any row is drawn
 
     # Each slice draws at most BATCH_BYTES raw Philox bytes (one row takes
-    # 32 * ceil(n/4)); slices are listed lazily, as the sample count is
-    # unbounded.
+    # 32 * ceil(n/4)) from the global range [0, samples).  Slices are
+    # submitted lazily and counted by ceiling division: the sample count
+    # is unbounded.
     rows = max(1, BATCH_BYTES // (32 * -(-n // 4)))
-    sizes = shard_sizes(samples, shards)
-    slices = ((start + offset, min(rows, size - offset))
-              for start, size in zip(accumulate(sizes, initial=0), sizes)
-              for offset in range(0, size, rows))
-    workers = min(_cpus(), sum(-(-size // rows) for size in sizes))
+    workers = min(_cpus(), -(-samples // rows))
     # imported on first use: it adds about 3 ms and 0.3 MB to every command
     from concurrent.futures import ThreadPoolExecutor
     count = 0
@@ -119,12 +111,13 @@ def sample_singularity(n: int, q, samples: int, seed: int,
     try:
         # workers draw the next slices while this thread tests the oldest,
         # so at most workers + 1 slices are in flight
-        pending = deque(pool.submit(_sample_bits, seed, n, start, step, qf)
-                        for start, step in islice(slices, workers))
+        draws = (pool.submit(_sample_bits, seed, n, start,
+                             min(rows, samples - start), qf)
+                 for start in range(0, samples, rows))
+        pending = deque(islice(draws, workers))
         while pending:
             bits = pending.popleft().result()
-            pending.extend(pool.submit(_sample_bits, seed, n, start, step, qf)
-                           for start, step in islice(slices, 1))
+            pending.extend(islice(draws, 1))
             count += int(singexact.singular_mask(bits, model).sum())
     finally:  # on any error, drop the slices not yet started, then join
         pool.shutdown(cancel_futures=True)

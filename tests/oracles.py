@@ -9,7 +9,8 @@ enumeration over the lattice basis is an independent route to every divisor
 probability, enumeration of the CRT image vectors is a second route for
 every d with two or more primes, the chunked decimal conversion checks
 output past the int-to-str digit limit, the float form of the 53-bit
-threshold test checks the Monte-Carlo row generator, the fold-down mask,
+threshold test checks the Monte-Carlo row generator, the shard ranges
+redraw a Monte-Carlo run shard by shard, the fold-down mask,
 which folds every row to every divisor in float64, checks the packed
 columns of the mask, the full enumeration of all 2^n rows checks the
 union's half-row join, and the streamed sum of the mass numerators'
@@ -297,6 +298,12 @@ def sample_bits_by_uniforms(seed: int, n: int, start: int, count: int,
     bitgen.advance(start * bps)
     raw = bitgen.random_raw(count * bps * 4).reshape(count, bps * 4)[:, :n]
     return ((raw >> np.uint64(11)) * 2.0 ** -53 < q).astype(np.int8)
+
+
+def shard_ranges(samples: int, shards: int) -> list[tuple[int, int]]:
+    """(start, count) of each shard; the remainder goes to the leading ones."""
+    base, extra = divmod(samples, shards)
+    return [(s * base + min(s, extra), base + (s < extra)) for s in range(shards)]
 
 
 def fold_down_mask(bits: np.ndarray, signed: bool = False) -> np.ndarray:

@@ -10,7 +10,7 @@ import pytest
 
 from circsing import cli, mcsim, singexact
 from circsing.errors import BudgetExceededError
-from circsing.mcsim import EstimateWithCI, sample_singularity, shard_sizes
+from circsing.mcsim import EstimateWithCI, sample_singularity
 from circsing.polycyc import FirstRow, singular_divisors
 from circsing.singexact import prob_union_bruteforce
 
@@ -38,10 +38,30 @@ class TestDeterminism:
                   for shards in (1, 4, 16)}
         assert len(set(counts.values())) == 1
 
-    def test_shard_sizes_fixed_layout(self):
-        assert shard_sizes(10, 4) == [3, 3, 2, 2]
-        assert shard_sizes(8, 4) == [2, 2, 2, 2]
-        assert sum(shard_sizes(99_999, 16)) == 99_999
+    def test_shards_regenerate_from_seed_and_range(self):
+        # each shard draws its own range alone, and the shard counts add up
+        # to the count of the whole run
+        for shards in (1, 4, 16):
+            count = sum(int(singexact.singular_mask(
+                mcsim._sample_bits(9, 6, start, size, 0.5), "binary").sum())
+                for start, size in oracles.shard_ranges(99_999, shards))
+            assert count == sample_singularity(6, 0.5, 99_999, seed=9,
+                                               shards=shards).singular_count
+
+    def test_one_row_shards_draw_byte_slices(self, monkeypatch):
+        # n = 6 takes 64 bytes a row, so 20000 one-row shards are still
+        # drawn in ceil(20000 / 16384) = 2 slices
+        want = sample_singularity(6, 0.5, 20_000, seed=1).singular_count
+        draws = []
+        sample_bits = mcsim._sample_bits
+
+        def recording_sample_bits(*args):
+            draws.append(args)
+            return sample_bits(*args)
+        monkeypatch.setattr(mcsim, "_sample_bits", recording_sample_bits)
+        est = sample_singularity(6, 0.5, 20_000, seed=1, shards=20_000)
+        assert len(draws) == -(-20_000 // (mcsim.BATCH_BYTES // 64)) == 2
+        assert est.singular_count == want and est.shards == 20_000
 
 
 class TestRowGeneration:
@@ -224,7 +244,7 @@ class TestWorkerThreads:
         monkeypatch.setattr(singexact, "singular_mask", recording_mask)
         est = sample_singularity(5, 0.5, 1000, seed=3, shards=3)
         me = threading.get_ident()
-        assert len(masked) == len(drawn) == 3 * 48  # ceil(334 / 7) = 48 each
+        assert len(masked) == len(drawn) == 143  # ceil(1000 / 7)
         assert set(masked) == {me} and me not in drawn
         assert max(in_flight) <= 3 + 1
         assert est.singular_count == int(singular_mask(
@@ -257,17 +277,19 @@ class TestWorkerThreads:
 
     def test_slices_are_not_listed_up_front(self, monkeypatch):
         # no sample cap in the library: 10^15 samples must not list their
-        # slices before the first is drawn
+        # slices before the first is drawn, and 10^25 samples, past
+        # sys.maxsize slices, must not need their slices' len()
         def no_memory(*args):
             raise MemoryError
         monkeypatch.setattr(mcsim, "_sample_bits", no_memory)
-        tracemalloc.start()
-        try:
-            began = time.perf_counter()
-            with pytest.raises(MemoryError):
-                sample_singularity(127, 0.5, 10 ** 15, seed=0)
-            elapsed = time.perf_counter() - began
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert elapsed < 1 and peak < 1 << 20
+        for samples in (10 ** 15, 10 ** 25):
+            tracemalloc.start()
+            try:
+                began = time.perf_counter()
+                with pytest.raises(MemoryError):
+                    sample_singularity(127, 0.5, samples, seed=0)
+                elapsed = time.perf_counter() - began
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert elapsed < 1 and peak < 1 << 20
