@@ -10,6 +10,11 @@ Each exact budget is an option only on the commands that spend it:
 and divisor, --brute-budget (half-row scans of the exhaustive union's join,
 2^tau(n) * 2^ceil(n/2)) on exact and table.  The Monte-Carlo sample cap is
 the environment variable CIRCSING_SAMPLES_CAP.
+
+``main`` sets OPENBLAS_NUM_THREADS=1 unless it or OMP_NUM_THREADS is set:
+OpenBLAS's helper threads would spin between the mask's small products and
+take CPUs from the Monte-Carlo row workers.  Library callers pin BLAS
+themselves.
 """
 from __future__ import annotations
 
@@ -317,6 +322,9 @@ def run(argv: list[str]) -> int:
 
 
 def main() -> None:
+    # numpy, and with it OpenBLAS, is not loaded yet: it reads this on loading
+    if not {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"} & os.environ.keys():
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
     sys.exit(run(sys.argv[1:]))
 
 

@@ -16,7 +16,8 @@ releases the interpreter lock while it fills a buffer), and the calling
 thread tests the finished slices in order.  The count is an integer sum
 over the rows, so it depends on neither the slicing nor the number of
 workers.  The shard count is recorded in the estimate; it changes neither
-the rows nor the slicing.
+the rows nor the slicing.  numpy is imported on first use, so importing
+this module does not load it.
 """
 from __future__ import annotations
 
@@ -25,10 +26,12 @@ import math
 import os
 from collections import deque
 from itertools import islice
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import binomstats, singexact
+
+if TYPE_CHECKING:
+    import numpy as np
 
 GENERATOR = "philox-4x64-10"
 
@@ -57,6 +60,7 @@ class EstimateWithCI:
 
 def _sample_bits(seed: int, n: int, start: int, count: int, q: float) -> np.ndarray:
     """Bernoulli rows for samples [start, start+count) of the global stream."""
+    import numpy as np
     bps = -(-n // 4)  # blocks per sample; one block is 4 uint64 outputs
     bitgen = np.random.Philox(key=seed)
     bitgen.advance(start * bps)
@@ -96,7 +100,9 @@ def sample_singularity(n: int, q, samples: int, seed: int,
     if not 0 <= seed < 2 ** 64:
         raise ValueError("seed must fit in 64 bits")
     qf = binomstats._check_float_q(q)
-    singexact._columns(n)  # built, or refused, before any row is drawn
+    # built, or refused, before any row is drawn; it also loads numpy on
+    # this thread, before any worker imports it
+    singexact._columns(n)
 
     # Each slice draws at most BATCH_BYTES raw Philox bytes (one row takes
     # 32 * ceil(n/4)) from the global range [0, samples).  Slices are

@@ -13,7 +13,10 @@ every divisor at once by lag differences of the row's fold (``_columns``);
 the exhaustive union joins the same columns' sums over the two halves of a
 row.  Both key divisibility by ``_lags``, so no compute path builds a
 lattice basis or a cyclotomic polynomial.
-Every value is an exact Fraction.
+Every value is an exact Fraction.  Only the mask (``singular_mask``,
+``_hits``, ``_columns``) and the exhaustive union's join use numpy, and
+each imports it on first use, so the per-divisor values, bounds and closed
+forms run without loading it.
 """
 from __future__ import annotations
 
@@ -23,11 +26,13 @@ import itertools
 import logging
 import math
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import binomstats, polycyc
 from .errors import BudgetExceededError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 log = logging.getLogger(__name__)
 
@@ -271,6 +276,8 @@ def _columns(n: int) -> tuple[np.ndarray, np.ndarray]:
     4n * ceil(n/24) bytes (a column holds at most 24 coordinates, and the
     phi(d) coordinates add up to n), are refused before n is factored.
     """
+    import numpy as np
+
     def refuse_past_bytes(columns: int, least: str = "") -> None:
         if 4 * n * columns > COLUMN_BYTES:
             raise BudgetExceededError(
@@ -319,6 +326,7 @@ def _hits(prod: np.ndarray, n: int, model: str) -> np.ndarray:
     d's columns are, at any magnitude.  Its d = 1 row is the weight, and
     holds where it is the model's ``_d1_weight``.
     """
+    import numpy as np
     sums = _columns(n)[1].T @ np.abs(prod, out=prod).T
     hits = sums == 0
     d1 = _d1_weight(n, model)
@@ -337,6 +345,7 @@ def singular_mask(bits: np.ndarray, model: str = "binary") -> np.ndarray:
     matrix decides every divisor at once (``_hits``).  Equivalent to
     ``polycyc.singular_divisors`` being nonempty, row by row.
     """
+    import numpy as np
     _check_model(model)
     n = bits.shape[1]
     return _hits(bits.astype(np.float32) @ _columns(n)[0], n, model).any(axis=0)
@@ -345,6 +354,7 @@ def singular_mask(bits: np.ndarray, model: str = "binary") -> np.ndarray:
 def _subset_sums(rows: np.ndarray) -> np.ndarray:
     """All 2^k sums of subsets of the k ``rows``, as exact int64, by
     doubling: sum i adds the rows whose bits are set in i."""
+    import numpy as np
     out = np.zeros((1 << len(rows), rows.shape[1]), dtype=np.int64)
     for j, row in enumerate(rows):
         np.add(out[:1 << j], row, out=out[1 << j:2 << j])
@@ -353,6 +363,7 @@ def _subset_sums(rows: np.ndarray) -> np.ndarray:
 
 def _dense(keys: np.ndarray) -> np.ndarray:
     """The rank of each key among the distinct keys."""
+    import numpy as np
     return np.unique(keys, return_inverse=True)[1]
 
 
@@ -362,6 +373,7 @@ def _matched(lo: np.ndarray, hi: np.ndarray, bound: int):
     each side, and the number of ids.  Keys are ranked by a table of
     ``bound`` flags, or by sorting when ``bound`` passes four times the
     rows."""
+    import numpy as np
     if bound > 4 * (len(lo) + len(hi)):
         ids = _dense(np.concatenate((lo, hi)))
         lo, hi, bound = ids[:len(lo)], ids[len(lo):], len(ids)
@@ -377,6 +389,7 @@ def _matched(lo: np.ndarray, hi: np.ndarray, bound: int):
 def _by_weight(ids: np.ndarray, weight: np.ndarray, classes: int,
                width: int) -> np.ndarray:
     """Rows per (class, weight), as a float64 (classes, width) table."""
+    import numpy as np
     return np.bincount(ids * width + weight, np.ones(len(ids)),
                        classes * width).reshape(classes, width)
 
@@ -404,6 +417,7 @@ def _singular_weight_counts(n: int, model: str = "binary") -> tuple[int, ...]:
     int64; past that the counts are refused.  The d = 1 event is every row
     of the model's ``_d1_weight``.
     """
+    import numpy as np
     if n > 53:
         raise BudgetExceededError(
             f"exhaustive union counts for n={n} reach 2^{n}, past float64's "

@@ -1,0 +1,120 @@
+"""The command line as a user starts it: each test runs a fresh interpreter,
+``python -m circsing.cli`` or a short ``-c`` script, with this checkout's
+package first on the path and the BLAS thread variables cleared."""
+import json
+import os
+import subprocess
+import sys
+from fractions import Fraction
+
+import pytest
+
+from circsing import cli
+from circsing.mcsim import sample_singularity
+
+SRC = os.path.dirname(os.path.dirname(cli.__file__))
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def python(*args, timeout=120, preexec_fn=None, **env):
+    """Run a fresh interpreter; ``env`` adds to the environment, which has
+    neither BLAS variable unless it names one."""
+    base = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    base["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], env={**base, **env},
+                          capture_output=True, text=True, timeout=timeout,
+                          preexec_fn=preexec_fn)
+
+
+def imported(stderr: str) -> set[str]:
+    """Top-level packages named in an ``-X importtime`` log."""
+    return {line.rsplit("|", 1)[1].strip().split(".")[0]
+            for line in stderr.splitlines() if line.startswith("import time:")}
+
+
+class TestNumpyOnFirstUse:
+    @pytest.mark.parametrize("code", [
+        "import circsing",
+        "import circsing.cli; circsing.cli.build_parser()",
+    ])
+    def test_import_leaves_numpy_unloaded(self, code):
+        done = python("-c", f"import sys; {code}; print('numpy' in sys.modules)")
+        assert (done.returncode, done.stdout) == (0, "False\n"), done.stderr
+
+    @pytest.mark.parametrize("argv, loads_numpy", [
+        (["divisor", "--n", "30", "--d", "6", "--q", "1/3"], False),
+        (["bounds", "--n", "30", "--q", "1/3"], False),
+        (["asym", "--n", "101", "--q", "1/2"], False),
+        (["exact", "--n", "7", "--q", "1/2"], False),  # closed-form union
+        # the exhaustive union and the mask do load it, which shows the
+        # import log sees numpy when it is loaded
+        (["exact", "--n", "8", "--q", "1/2"], True),
+        (["mc", "--n", "6", "--q", "1/2", "--samples", "100"], True),
+    ], ids=["divisor", "bounds", "asym", "exact-closed-form", "exact-join", "mc"])
+    def test_commands_load_numpy_only_to_test_rows(self, argv, loads_numpy):
+        done = python("-X", "importtime", "-m", "circsing.cli", *argv)
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout)
+        assert ("numpy" in imported(done.stderr)) is loads_numpy
+
+
+MC_ARGV = ["mc", "--n", "127", "--q", "1/50", "--samples", "262144", "--seed", "1"]
+
+
+@pytest.fixture(scope="module")
+def mc_count():
+    return sample_singularity(127, Fraction(1, 50), 262144, seed=1).singular_count
+
+
+def one_cpu():
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+
+class TestMcCount:
+    """Rows are drawn on one worker thread per CPU in the affinity mask; the
+    count printed by a fresh ``mc`` must be the in-process count whatever the
+    shard split or the number of workers.  One row per shard must cost no
+    thread hand-off per shard, hence its shorter timeout."""
+
+    @pytest.mark.parametrize("extra, timeout, one_cpu_only", [
+        ([], 120, False),
+        (["--shards", "7"], 120, False),
+        ([], 120, True),
+        (["--shards", "262144"], 20, False),
+    ], ids=["plain", "shards-7", "one-cpu", "one-row-shards"])
+    def test_count_matches_in_process(self, mc_count, extra, timeout, one_cpu_only):
+        if one_cpu_only and not hasattr(os, "sched_setaffinity"):
+            pytest.skip("no affinity call on this platform")
+        done = python("-m", "circsing.cli", *MC_ARGV, *extra, timeout=timeout,
+                      preexec_fn=one_cpu if one_cpu_only else None)
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout)["singular_count"] == mc_count
+
+
+BLAS_PROBE = """\
+import os, sys
+from circsing import cli
+sys.argv = ["circsing", "bounds", "--n", "6", "--q", "1/2", "--output", os.devnull]
+try:
+    cli.main()
+except SystemExit as exc:
+    assert exc.code == 0, exc.code
+print(os.environ.get("OPENBLAS_NUM_THREADS"), os.environ.get("OMP_NUM_THREADS"))
+"""
+
+
+class TestBlasThreads:
+    @pytest.mark.parametrize("env, seen", [
+        ({}, "1 None"),
+        ({"OPENBLAS_NUM_THREADS": "2"}, "2 None"),
+        ({"OMP_NUM_THREADS": "2"}, "None 2"),
+    ], ids=["default", "openblas-set", "omp-set"])
+    def test_main_pins_blas_unless_set(self, env, seen):
+        done = python("-c", BLAS_PROBE, **env)
+        assert (done.returncode, done.stdout) == (0, seen + "\n"), done.stderr
+
+    def test_library_leaves_blas_alone(self):
+        done = python("-c", "import os, circsing.cli; "
+                            "print(os.environ.get('OPENBLAS_NUM_THREADS'))")
+        assert (done.returncode, done.stdout) == (0, "None\n"), done.stderr

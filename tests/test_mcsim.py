@@ -163,7 +163,7 @@ class TestEstimateFields:
         with pytest.raises(ValueError):
             sample_singularity(4, 0.5, 100, seed=2 ** 64)
 
-    def test_slicing_inside_shard_matches_layout(self, monkeypatch):
+    def test_byte_bounded_slices_of_range_match_layout(self, monkeypatch):
         whole = mcsim._sample_bits(seed=3, n=5, start=0, count=1000, q=0.5)
         parts = np.vstack([
             mcsim._sample_bits(seed=3, n=5, start=0, count=400, q=0.5),
@@ -171,7 +171,8 @@ class TestEstimateFields:
         ])
         assert np.array_equal(whole, parts)
         # n = 5 takes two Philox blocks of 32 bytes per row, so a 7-row byte
-        # bound cuts each shard into slices of at most 7 rows
+        # bound cuts [0, samples) into slices of at most 7 rows, whatever
+        # the shard count
         unsliced = sample_singularity(5, 0.5, 1000, seed=3, shards=3)
         steps = []
         sample_bits = mcsim._sample_bits
@@ -187,7 +188,7 @@ class TestEstimateFields:
 
 
 # 7 rows of n = 5 (two Philox blocks of 32 bytes each) per slice, as in
-# test_slicing_inside_shard_matches_layout
+# test_byte_bounded_slices_of_range_match_layout
 SMALL_BATCH = 7 * 64 + 63
 
 
