@@ -12,6 +12,8 @@ import pytest
 from circsing import cli
 from circsing.mcsim import sample_singularity
 
+import oracles
+
 SRC = os.path.dirname(os.path.dirname(cli.__file__))
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
@@ -57,6 +59,61 @@ class TestNumpyOnFirstUse:
         assert done.returncode == 0, done.stderr
         assert json.loads(done.stdout)
         assert ("numpy" in imported(done.stderr)) is loads_numpy
+
+
+# n = 2 * (2^127 - 1): its smallest prime, 2, is found at once, while
+# factoring the prime cofactor by trial division would not end.  bounds
+# refuses it from its exponent, asym needs only p(n) = 2.
+HUGE = str(oracles.HUGE_N[0])
+FULL = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+
+
+@pytest.mark.parametrize("argv, timeout, code", [
+    (["bounds", "--n", HUGE, "--q", "1/2"], 60, 3),
+    pytest.param(["exact", "--n", "4", "--q", "1/2", "--output", "/dev/full"],
+                 60, 3, marks=FULL),
+    (["exact", "--n", "4", "--q", "0.5"], 60, 2),
+    (["asym", "--n", HUGE, "--q", "0.5"], 60, 0),
+    (["asym", "--n", HUGE, "--q", "0.5", "--formula", "closed"], 60, 0),
+    # sums 99 992 squared binomial masses at the edge of the exponent
+    # budget: the binary-splitting power sum takes seconds, a term-by-term
+    # sum about 5 minutes
+    (["divisor", "--n", "199982", "--d", "2", "--q", "1/3"], 120, 0),
+], ids=["bounds-huge-n", "exact-full-disk", "exact-float-q", "asym-huge-n",
+        "asym-closed-huge-n", "divisor-n199982"])
+def test_exit_code_through_main(argv, timeout, code):
+    # main, not run: a main that dropped run's exit code passes every
+    # in-process test
+    done = python("-m", "circsing.cli", *argv, timeout=timeout)
+    assert done.returncode == code, done.stderr
+    if code:
+        assert done.stdout == ""
+        assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+    else:
+        assert json.loads(done.stdout) and done.stderr == ""
+
+
+def two_gb_address_space():
+    import resource
+    soft, hard = 2_000_000 << 10, resource.getrlimit(resource.RLIMIT_AS)[1]
+    if hard != resource.RLIM_INFINITY:
+        soft = min(soft, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="needs RLIMIT_AS")
+def test_out_of_memory_is_resource_error(tmp_path):
+    # a child held to 2 GB of address space, with the row cap lifted: the
+    # 10^10 rows of the range cannot be listed, which is one line and exit 3
+    # (under the cap they are refused before listing: test_cli)
+    path = tmp_path / "table.csv"
+    done = python("-c", "import sys; from circsing import cli; "
+                        "cli.TABLE_ROWS_CAP = 10 ** 11; sys.exit(cli.run(sys.argv[1:]))",
+                  "table", "--n-range", "2:10000000000", "--q", "1/2",
+                  "--output", str(path), preexec_fn=two_gb_address_space)
+    assert (done.returncode, done.stdout, done.stderr) == \
+        (3, "", "error: out of memory\n")
+    assert path.read_text() == ""
 
 
 MC_ARGV = ["mc", "--n", "127", "--q", "1/50", "--samples", "262144", "--seed", "1"]
