@@ -325,7 +325,13 @@ def main() -> None:
     # numpy, and with it OpenBLAS, is not loaded yet: it reads this on loading
     if not {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"} & os.environ.keys():
         os.environ["OPENBLAS_NUM_THREADS"] = "1"
-    sys.exit(run(sys.argv[1:]))
+    code = run(sys.argv[1:])
+    try:  # a failed write leaves its bytes buffered in stdout
+        sys.stdout.flush()
+    except OSError:  # run has said so; the interpreter's own flush at exit
+        # would fail again, print "Exception ignored" and exit 120
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -1,6 +1,7 @@
 """The command line as a user starts it: each test runs a fresh interpreter,
 ``python -m circsing.cli`` or a short ``-c`` script, with this checkout's
-package first on the path and the BLAS thread variables cleared."""
+package first on the path, the BLAS thread variables cleared and stdout
+buffered (``PYTHONUNBUFFERED`` cleared)."""
 import json
 import os
 import subprocess
@@ -16,17 +17,19 @@ import oracles
 
 SRC = os.path.dirname(os.path.dirname(cli.__file__))
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+CLEARED = (*BLAS_VARS, "PYTHONUNBUFFERED")
 
 
-def python(*args, timeout=120, preexec_fn=None, **env):
+def python(*args, timeout=120, preexec_fn=None, stdout=subprocess.PIPE, **env):
     """Run a fresh interpreter; ``env`` adds to the environment, which has
-    neither BLAS variable unless it names one."""
-    base = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    neither BLAS variable nor ``PYTHONUNBUFFERED`` unless it names one.
+    stdout is captured unless ``stdout`` names an open file for it."""
+    base = {k: v for k, v in os.environ.items() if k not in CLEARED}
     base["PYTHONPATH"] = os.pathsep.join(
         filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *args], env={**base, **env},
-                          capture_output=True, text=True, timeout=timeout,
-                          preexec_fn=preexec_fn)
+                          stdout=stdout, stderr=subprocess.PIPE, text=True,
+                          timeout=timeout, preexec_fn=preexec_fn)
 
 
 def imported(stderr: str) -> set[str]:
@@ -91,6 +94,33 @@ def test_exit_code_through_main(argv, timeout, code):
         assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
     else:
         assert json.loads(done.stdout) and done.stderr == ""
+
+
+def closed_pipe():
+    read, write = os.pipe()
+    os.close(read)
+    return open(write, "w")
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="needs /dev/full and pipes")
+@pytest.mark.parametrize("sink", [
+    pytest.param(lambda: open("/dev/full", "w"), marks=FULL),
+    closed_pipe,
+], ids=["full-disk", "closed-pipe"])
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "bounds"],
+    ["exact", "--n", "4", "--q", "1/2"],
+], ids=["verify", "exact"])
+def test_failed_stdout_through_main(argv, sink):
+    # the process's own stdout, not a file run opens and closes: a failed
+    # write leaves its bytes buffered, and unless main drops them the
+    # interpreter's flush at exit fails again, prints "Exception ignored"
+    # and turns exit 3 into 120
+    with sink() as stdout:
+        done = python("-m", "circsing.cli", *argv, timeout=60, stdout=stdout)
+    assert done.returncode == 3, done.stderr
+    assert done.stderr.startswith("error: cannot write stdout: ")
+    assert done.stderr.count("\n") == 1
 
 
 def two_gb_address_space():
